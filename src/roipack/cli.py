@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .costmodel import CostParams, aggregate
-from .evaluation import evaluate_detections
+from .evaluation import EvalReport, evaluate_detections
 from .formats import (
     AnnotationError,
     read_annotations,
@@ -171,9 +171,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             det_pairs.extend((key, det) for det in rec.detections)
             gt_pairs.extend((key, obj) for obj in frame.objects)
 
-    write_jsonl(args.out, records)
     cost = aggregate(decisions, cost_params)
-    report = evaluate_detections(det_pairs, gt_pairs)
+    if gt_pairs:
+        report = evaluate_detections(det_pairs, gt_pairs)
+    else:
+        # No object annotated anywhere: every AP, and so mAP, is undefined.
+        report = EvalReport({}, None, len(det_pairs), 0)
     summary = {
         "annotations": args.annotations,
         "mode": args.mode,
@@ -192,10 +195,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "evaluation": report.to_json_dict(),
     }
     summary_path = str(Path(args.out).with_suffix("")) + ".summary.json"
+    write_jsonl(args.out, records)
     write_json(summary_path, summary)
+    mean_ap = "n/a" if report.mean_ap is None else f"{report.mean_ap:.4f}"
     print(
         f"processed {len(records)} frames ({args.mode}): "
-        f"flop_reduction={cost.flop_reduction:.4f} mAP={report.mean_ap:.4f}"
+        f"flop_reduction={cost.flop_reduction:.4f} mAP={mean_ap}"
     )
     print(f"results: {args.out}")
     print(f"summary: {summary_path}")

@@ -96,10 +96,14 @@ def mean_average_precision(per_class: Mapping[int, Optional[float]]) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-class APs, their mean and the match counts behind them."""
+    """Per-class APs, their mean and the match counts behind them.
+
+    mean_ap is None only on a report built for a run without ground truth,
+    where no class has an AP.
+    """
 
     per_class: dict[int, Optional[float]]
-    mean_ap: float
+    mean_ap: Optional[float]
     num_detections: int
     num_ground_truth: int
 

@@ -12,6 +12,8 @@ their plan in working-frame pixels.
 """
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from typing import Mapping, Sequence
 
 from .geometry import FrameSpec, Rect
@@ -22,6 +24,21 @@ from .simdet import GroundTruthFrame, GtObject
 
 class AnnotationError(ValueError):
     """Malformed annotation input; the message names the offending line."""
+
+
+@contextmanager
+def _replacing(path: str):
+    """Open a temporary file beside `path` for writing and move it over
+    `path` once written, so a failure never leaves a partial file there."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _rect_to_norm(rect: Rect, side: float) -> dict:
@@ -41,7 +58,7 @@ def write_annotations(
     path: str, videos: Mapping[str, Sequence[GroundTruthFrame]], frame_spec: FrameSpec
 ):
     side = frame_spec.side
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         for name in videos:
             for frame in videos[name]:
                 record = {
@@ -160,12 +177,12 @@ def result_record(
 
 
 def write_jsonl(path: str, records: Sequence[dict]):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
 
 
 def write_json(path: str, payload: dict):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

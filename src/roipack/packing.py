@@ -11,11 +11,14 @@ smaller destination frame:
   3. if they fit, every patch is grown in place, primary axis first, so the
      crops carry as much surrounding context as the destination allows.
 
-Growth is simulated in rounds of at most one pixel unit per slot, split
+Growth is defined in rounds of at most one pixel unit per slot, split
 symmetrically between both sides; growth clipped at a source frame boundary
 spills to the opposite side. A slot stops growing along an axis when the
 shared destination capacity is used up, when it would run into another
-slot's source patch, or when it already spans the whole source frame.
+slot's source patch, or when it already spans the whole source frame. Runs
+of quiet rounds, in which every growing slot just takes its full unit, are
+applied in bulk rather than one round at a time; the plans are bit-identical
+to stepping every round.
 
 A naive baseline packer is included for comparison: each ROI is expanded by
 a fixed factor and rescaled into a fixed grid cell, which distorts aspect
@@ -288,51 +291,141 @@ def _grow_interval(
     return max(0.0, lo - left), min(bound, hi + right)
 
 
-def _candidate_overlaps(
-    src: list[list[float]], i: int, axis: int, grown: tuple[float, float]
-) -> bool:
-    lo, hi = grown
-    o_lo, o_hi = src[i][1 - axis], src[i][3 - axis]
-    for j, other in enumerate(src):
-        if j == i:
-            continue
-        if (
-            lo < other[axis + 2]
-            and other[axis] < hi
-            and o_lo < other[3 - axis]
-            and other[1 - axis] < o_hi
-        ):
-            return True
-    return False
+# Quiet rounds are skipped only while every bound they rely on still holds
+# this many rounds later, which absorbs the last-bit drift of unit steps.
+_QUIET_MARGIN = 2
 
 
 def _expand_axis(
     src: list[list[float]], axis: int, layout: Layout, dest_side: float, src_side: float
 ):
-    """Grow all slots along one axis in simultaneous rounds until frozen."""
+    """Grow all slots along one axis in simultaneous rounds until frozen.
+
+    A round is quiet when every active slot takes a full GROWTH_STEP without
+    meeting the capacity limit, a frame edge or another slot. Runs of quiet
+    rounds are applied in bulk, with the float operations of one round
+    repeated per round, so the result is bit-identical to stepping every
+    round.
+    """
+    n = len(src)
     groups = list(_group_members(layout).values())
     group_of = {i: g for g, members in enumerate(groups) for i in members}
-    extent_axis = 0 if layout.primary_axis is Axis.HORIZONTAL else 1
+    on_extent = axis == (0 if layout.primary_axis is Axis.HORIZONTAL else 1)
 
-    def size(j: int) -> float:
-        return src[j][axis + 2] - src[j][axis]
+    # Extent axis: the sum of group extents is capped, but a slot below its
+    # group's current extent grows free up to it. Stacking axis: members of
+    # one group share the destination side. Only a moved slot's entries are
+    # refreshed, with the expressions a full recomputation would use.
+    sizes = [s[axis + 2] - s[axis] for s in src]
+    extents = [max(sizes[j] for j in members) for members in groups]
+    slack = dest_side - sum(extents)
+    stack_free = [dest_side - sum(sizes[j] for j in members) for members in groups]
 
     def headroom(i: int) -> float:
-        if axis == extent_axis:
-            # Shared across groups: the sum of group extents is capped, but
-            # a slot below its group's current extent grows free up to it.
-            extents = [max(size(j) for j in members) for members in groups]
-            slack = dest_side - sum(extents)
-            return (extents[group_of[i]] - size(i)) + slack
-        # Stacking axis: members of one group share the destination side.
-        return dest_side - sum(size(j) for j in groups[group_of[i]])
+        if on_extent:
+            return (extents[group_of[i]] - sizes[i]) + slack
+        return stack_free[group_of[i]]
 
-    active = set(range(len(src)))
+    def moved(i: int):
+        nonlocal slack
+        sizes[i] = src[i][axis + 2] - src[i][axis]
+        g = group_of[i]
+        if on_extent:
+            extents[g] = max(sizes[j] for j in groups[g])
+            slack = dest_side - sum(extents)
+        else:
+            stack_free[g] = dest_side - sum(sizes[j] for j in groups[g])
+
+    # The other axis does not move during this pass, so the slots that can
+    # block slot i are fixed: those overlapping it on the other axis.
+    o_lo, o_hi = 1 - axis, 3 - axis
+    blockers = [
+        [
+            j
+            for j in range(n)
+            if j != i and src[i][o_lo] < src[j][o_hi] and src[j][o_lo] < src[i][o_hi]
+        ]
+        for i in range(n)
+    ]
+
+    def hits(i: int, grown: tuple[float, float]) -> bool:
+        lo, hi = grown
+        for j in blockers[i]:
+            if lo < src[j][axis + 2] and src[j][axis] < hi:
+                return True
+        return False
+
+    half = 0.5 * GROWTH_STEP
+
+    def quiet_rounds() -> int:
+        # How far each active slot's lo and hi edges move per quiet round:
+        # half a step each, or a whole step on the free side of a slot
+        # pinned at a frame edge. Frozen slots do not move.
+        left = [0.0] * n
+        right = [0.0] * n
+        growing = [0] * len(groups)
+        for i in active:
+            if src[i][axis] == 0.0:
+                right[i] = GROWTH_STEP
+            elif src[i][axis + 2] == src_side:
+                left[i] = GROWTH_STEP
+            else:
+                left[i] = right[i] = half
+            growing[group_of[i]] += 1
+        growing_groups = sum(1 for count in growing if count)
+        rounds = float("inf")
+        for i in active:
+            lo, hi = src[i][axis], src[i][axis + 2]
+            # Stay clear of the frame edges; this also keeps room >= a step.
+            if left[i]:
+                rounds = min(rounds, lo / left[i])
+            if right[i]:
+                rounds = min(rounds, (src_side - hi) / right[i])
+            # A round costs slot i's headroom at most one step per group
+            # with a growing slot (extent axis), or per growing member of
+            # its own group (stacking axis).
+            spend = growing_groups if on_extent else growing[group_of[i]]
+            rounds = min(rounds, (headroom(i) - GROWTH_STEP) / (spend * GROWTH_STEP))
+            # Gaps to the blockers, closed from both sides.
+            for j in blockers[i]:
+                if src[j][axis] >= hi:
+                    gap, closing = src[j][axis] - hi, right[i] + left[j]
+                else:
+                    gap, closing = lo - src[j][axis + 2], left[i] + right[j]
+                if closing:
+                    rounds = min(rounds, gap / closing)
+            if rounds < _QUIET_MARGIN + 1:
+                return 0
+        return int(rounds) - _QUIET_MARGIN
+
+    active = set(range(n))
     while active:
+        skip = quiet_rounds() if len(active) > 1 else 0
+        if skip:
+            for i in active:
+                lo, hi = src[i][axis], src[i][axis + 2]
+                # One op per round, as _grow_interval performs it: a closed
+                # form would round differently once hi crosses powers of two.
+                if lo == 0.0:
+                    for _ in range(skip):
+                        hi += GROWTH_STEP
+                    lo = 0.0
+                elif hi == src_side:
+                    for _ in range(skip):
+                        lo -= GROWTH_STEP
+                    hi = src_side
+                else:
+                    for _ in range(skip):
+                        lo -= half
+                        hi += half
+                src[i][axis], src[i][axis + 2] = lo, hi
+                moved(i)
         for i in sorted(active):
             allowance = headroom(i)
             lo, hi = src[i][axis], src[i][axis + 2]
             room = lo + (src_side - hi)
+            # len(active) is read per slot: when a slot freezes mid-round,
+            # the last one left takes its lone jump in that same round.
             if len(active) == 1:
                 # A lone grower faces only static constraints; one full-size
                 # jump lands exactly where unit stepping would.
@@ -343,13 +436,11 @@ def _expand_axis(
                 active.discard(i)
                 continue
             grown = _grow_interval(lo, hi, allowed, src_side)
-            if _candidate_overlaps(src, i, axis, grown):
+            if hits(i, grown):
                 feasible, infeasible = 0.0, allowed
                 for _ in range(60):
                     mid = 0.5 * (feasible + infeasible)
-                    if _candidate_overlaps(
-                        src, i, axis, _grow_interval(lo, hi, mid, src_side)
-                    ):
+                    if hits(i, _grow_interval(lo, hi, mid, src_side)):
                         infeasible = mid
                     else:
                         feasible = mid
@@ -358,6 +449,7 @@ def _expand_axis(
                     continue
                 grown = _grow_interval(lo, hi, feasible, src_side)
             src[i][axis], src[i][axis + 2] = grown
+            moved(i)
 
 
 def expand_greedy(plan: PackPlan, source: FrameSpec) -> PackPlan:
@@ -370,6 +462,10 @@ def expand_greedy(plan: PackPlan, source: FrameSpec) -> PackPlan:
     when the shared destination capacity is exhausted, when growing would
     run its src into another slot's src, or when it spans the full source
     frame. Destination placement is recomputed flush afterwards.
+
+    Rounds stay the semantics, but runs of rounds in which no slot meets
+    any of those limits or a frame edge are skipped in bulk, so the cost
+    grows with the number of such events rather than with the pixels grown.
     """
     layout = plan.layout
     if layout is None:

@@ -192,6 +192,10 @@ def run_video(
     Frame i's decision depends only on frame i-1's detections and on i
     itself, so a run can be replayed from any checkpoint. An empty video
     yields empty records and no cost report.
+
+    Frames are scheduled by position: i is the index into the video's frame
+    list, not an annotated frame id, so a video subsampled to ids 0, 10,
+    20, ... gets an anchor every anchor_interval-th listed frame.
     """
     records: list[FrameRecord] = []
     prev: Sequence[Detection] = ()

@@ -1,17 +1,35 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here imports package internals beyond plain data types; every
-computation is done a structurally different way than the library does it
-(rasterization instead of sweeps, transitive closure instead of union-find,
-per-prefix re-matching instead of one-pass accumulation), so agreement is
-meaningful.
+Most computations here are done a structurally different way than the
+library does them (rasterization instead of sweeps, transitive closure
+instead of union-find, per-prefix re-matching instead of one-pass
+accumulation), so agreement is meaningful, and they import nothing from the
+package beyond plain data types.
+
+The exception is reference_expand_greedy: the plain unit-round greedy
+expansion, stepped one round at a time. The package skips quiet rounds in
+bulk and must reproduce it bit for bit, so it shares the package's layout
+and placement helpers and differs only in the growth loop.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from roipack.geometry import Rect
+from roipack.geometry import FrameSpec, Rect
+from roipack.packing import (
+    GROWTH_STEP,
+    MAX_SLOTS,
+    Axis,
+    Layout,
+    PackMethod,
+    PackPlan,
+    _flush_slots,
+    _group_members,
+    choose_layout,
+    merge_overlaps,
+    place_and_fit,
+)
 
 
 def raster_cover(rects, x0, y0, x1, y1, resolution=1000):
@@ -162,3 +180,124 @@ def reference_ap(dets, gts, class_id, iou_thr=0.5, exact=False):
         if recalls[i + 1] != recalls[i]:
             ap += (recalls[i + 1] - recalls[i]) * precisions[i + 1]
     return ap
+
+
+_EPS = 1e-9
+
+
+def _grow_interval(
+    lo: float, hi: float, g: float, bound: float
+) -> tuple[float, float]:
+    """Grow [lo, hi] in [0, bound] by g, split half per side; growth clipped
+    at a boundary spills to the opposite side."""
+    left = right = 0.5 * g
+    room_l = lo
+    room_r = bound - hi
+    if left > room_l:
+        right += left - room_l
+        left = room_l
+    if right > room_r:
+        left = min(room_l, left + (right - room_r))
+        right = room_r
+    return max(0.0, lo - left), min(bound, hi + right)
+
+
+def _candidate_overlaps(
+    src: list[list[float]], i: int, axis: int, grown: tuple[float, float]
+) -> bool:
+    lo, hi = grown
+    o_lo, o_hi = src[i][1 - axis], src[i][3 - axis]
+    for j, other in enumerate(src):
+        if j == i:
+            continue
+        if (
+            lo < other[axis + 2]
+            and other[axis] < hi
+            and o_lo < other[3 - axis]
+            and other[1 - axis] < o_hi
+        ):
+            return True
+    return False
+
+
+def _expand_axis(
+    src: list[list[float]], axis: int, layout: Layout, dest_side: float, src_side: float
+):
+    """Grow all slots along one axis in simultaneous rounds until frozen."""
+    groups = list(_group_members(layout).values())
+    group_of = {i: g for g, members in enumerate(groups) for i in members}
+    extent_axis = 0 if layout.primary_axis is Axis.HORIZONTAL else 1
+
+    def size(j: int) -> float:
+        return src[j][axis + 2] - src[j][axis]
+
+    def headroom(i: int) -> float:
+        if axis == extent_axis:
+            # Shared across groups: the sum of group extents is capped, but
+            # a slot below its group's current extent grows free up to it.
+            extents = [max(size(j) for j in members) for members in groups]
+            slack = dest_side - sum(extents)
+            return (extents[group_of[i]] - size(i)) + slack
+        # Stacking axis: members of one group share the destination side.
+        return dest_side - sum(size(j) for j in groups[group_of[i]])
+
+    active = set(range(len(src)))
+    while active:
+        for i in sorted(active):
+            allowance = headroom(i)
+            lo, hi = src[i][axis], src[i][axis + 2]
+            room = lo + (src_side - hi)
+            if len(active) == 1:
+                # A lone grower faces only static constraints; one full-size
+                # jump lands exactly where unit stepping would.
+                allowed = min(allowance, room)
+            else:
+                allowed = min(GROWTH_STEP, allowance, room)
+            if allowed <= _EPS:
+                active.discard(i)
+                continue
+            grown = _grow_interval(lo, hi, allowed, src_side)
+            if _candidate_overlaps(src, i, axis, grown):
+                feasible, infeasible = 0.0, allowed
+                for _ in range(60):
+                    mid = 0.5 * (feasible + infeasible)
+                    if _candidate_overlaps(
+                        src, i, axis, _grow_interval(lo, hi, mid, src_side)
+                    ):
+                        infeasible = mid
+                    else:
+                        feasible = mid
+                if feasible <= _EPS:
+                    active.discard(i)
+                    continue
+                grown = _grow_interval(lo, hi, feasible, src_side)
+            src[i][axis], src[i][axis + 2] = grown
+
+
+def reference_expand_greedy(plan: PackPlan, source: FrameSpec) -> PackPlan:
+    """expand_greedy stepped one unit round at a time, every round."""
+    layout = plan.layout
+    src = [[s.src.x_min, s.src.y_min, s.src.x_max, s.src.y_max] for s in plan.slots]
+    first = 0 if layout.primary_axis is Axis.HORIZONTAL else 1
+    for axis in (first, 1 - first):
+        _expand_axis(src, axis, layout, plan.dest.side, source.side)
+    return PackPlan(
+        slots=_flush_slots([Rect(*b) for b in src], layout, plan.dest),
+        dest=plan.dest,
+        method=PackMethod.GREEDY,
+        source=source,
+        layout=layout,
+    )
+
+
+def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
+    """pack() with reference_expand_greedy in place of expand_greedy."""
+    if not rois:
+        return None
+    merged = merge_overlaps(rois)
+    if len(merged) > MAX_SLOTS:
+        return None
+    placed = place_and_fit(merged, choose_layout(merged), dest)
+    if placed is None:
+        return None
+    return reference_expand_greedy(placed, source)

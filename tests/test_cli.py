@@ -137,6 +137,20 @@ class TestRun:
         assert self.run(ann, tmp_path / "out.jsonl") == 1
         assert "no frames" in capsys.readouterr().err
 
+    def test_no_objects_reports_null_map(self, tmp_path, capsys):
+        ann = tmp_path / "empty_scene.jsonl"
+        ann.write_text("".join(
+            f'{{"video": "v", "frame": {i}, "objects": []}}\n' for i in range(6)
+        ))
+        out = tmp_path / "out.jsonl"
+        assert self.run(ann, out) == 0
+        assert len(out.read_text().splitlines()) == 6
+        summary = json.loads((tmp_path / "out.summary.json").read_text())
+        assert summary["evaluation"]["mAP"] is None
+        assert summary["evaluation"]["num_ground_truth"] == 0
+        assert summary["cost"]["frames"] == 6
+        assert "mAP=n/a" in capsys.readouterr().out
+
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["run", "x.jsonl", "--mode", "turbo", "--out", "y.jsonl"])

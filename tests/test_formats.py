@@ -212,3 +212,14 @@ class TestWriters:
         assert text.endswith("\n")
         assert text.index('"apple"') < text.index('"zebra"')
         assert json.loads(text) == {"zebra": 1, "apple": 2}
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+        # The second record cannot be serialized, after the first is written.
+        with pytest.raises(TypeError):
+            write_jsonl(str(path), [{"a": 1}, {"b": object()}])
+        assert path.read_text() == "old\n"
+        with pytest.raises(TypeError):
+            write_json(str(tmp_path / "new.json"), {"a": object()})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_components
+from oracles import brute_components, reference_pack
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import (
     MAX_SLOTS,
@@ -235,6 +237,81 @@ class TestExpandGreedy:
         plan = pack([Rect(120, 100, 190, 180)], FrameSpec(300.0), FrameSpec(300.0))
         assert plan is not None
         assert plan.slots[0].src == Rect(0, 0, 300, 300)
+
+
+def flush_to_edge(rng, box):
+    x = box.x_min if rng.random() < 0.5 else float(rng.choice([0.0, 300.0 - box.width]))
+    y = box.y_min if rng.random() < 0.5 else float(rng.choice([0.0, 300.0 - box.height]))
+    return Rect(x, y, x + box.width, y + box.height)
+
+
+def same_plan(a, b):
+    return [(s.src, s.dst) for s in a.slots] == [(s.src, s.dst) for s in b.slots]
+
+
+class TestExpandMatchesReference:
+    """expand_greedy skips quiet rounds in bulk; its plans must equal, to the
+    last bit, those of the unit-round reference in tests/oracles.py."""
+
+    @pytest.mark.parametrize("side", [100.0, 150.0, 200.0])
+    @pytest.mark.parametrize("flush", [False, True], ids=["inside", "flush"])
+    def test_fuzz_plans_identical(self, side, flush):
+        # "flush" moves ROIs against the frame edges, where slots grow pinned
+        # to one side.
+        rng = np.random.default_rng(int(side) + flush)
+        dest = FrameSpec(side)
+        packed = 0
+        for case in range(1200):
+            boxes = random_rois(rng, int(rng.integers(1, 9)))
+            if flush:
+                boxes = [flush_to_edge(rng, b) for b in boxes]
+            plan = pack(boxes, SRC, dest)
+            ref = reference_pack(boxes, SRC, dest)
+            assert (plan is None) == (ref is None), case
+            if plan is not None:
+                packed += 1
+                assert same_plan(plan, ref), (case, boxes)
+        assert packed > 200
+
+    def test_survivor_of_a_mid_round_freeze_jumps_in_that_round(self):
+        # Second pass (x): slot 0 reaches the full destination width and
+        # freezes partway through a round. Slot 1, now the only grower, takes
+        # its lone full-size jump in that same round, runs into slot 0 and
+        # bisects. Deciding "lone" once per round would leave x_min at 4.0.
+        boxes = [Rect(258, 4, 299, 29), Rect(59, 96, 95, 116)]
+        plan = pack(boxes, SRC, DST)
+        assert plan == reference_pack(boxes, SRC, DST)
+        assert plan.slots[1].src == Rect(3.999999999999986, 70.0, 150.0, 142.0)
+
+
+def transposed(r):
+    return Rect(r.y_min, r.x_min, r.y_max, r.x_max)
+
+
+roi_st = st.builds(
+    lambda x, y, w, h: Rect(x, y, min(300.0, x + w), min(300.0, y + h)),
+    st.floats(0.0, 296.0),
+    st.floats(0.0, 296.0),
+    st.floats(4.0, 160.0),
+    st.floats(4.0, 160.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(roi_st, min_size=1, max_size=8))
+def test_transposing_rois_transposes_the_plan(rois):
+    # choose_layout breaks a tallest == widest tie toward columns, the one
+    # asymmetry of the packer.
+    merged = merge_overlaps(rois)
+    if max(b.height for b in merged) == max(b.width for b in merged):
+        return
+    plan = pack(rois, SRC, DST)
+    flipped = pack([transposed(r) for r in rois], SRC, DST)
+    assert (plan is None) == (flipped is None)
+    if plan is not None:
+        assert [(transposed(s.src), transposed(s.dst)) for s in plan.slots] == [
+            (s.src, s.dst) for s in flipped.slots
+        ]
 
 
 class TestPack:
