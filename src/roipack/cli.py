@@ -176,7 +176,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         report = evaluate_detections(det_pairs, gt_pairs)
     else:
         # No object annotated anywhere: every AP, and so mAP, is undefined.
-        report = EvalReport({}, None, len(det_pairs), 0)
+        report = EvalReport(
+            per_class={},
+            mean_ap=None,
+            num_detections=len(det_pairs),
+            num_ground_truth=0,
+        )
     summary = {
         "annotations": args.annotations,
         "mode": args.mode,

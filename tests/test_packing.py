@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_components, reference_pack
@@ -292,19 +292,18 @@ roi_st = st.builds(
     lambda x, y, w, h: Rect(x, y, min(300.0, x + w), min(300.0, y + h)),
     st.floats(0.0, 296.0),
     st.floats(0.0, 296.0),
-    st.floats(4.0, 160.0),
-    st.floats(4.0, 160.0),
+    st.floats(4.0, 80.0),
+    st.floats(4.0, 80.0),
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(roi_st, min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+@given(st.lists(roi_st, min_size=1, max_size=6))
 def test_transposing_rois_transposes_the_plan(rois):
     # choose_layout breaks a tallest == widest tie toward columns, the one
     # asymmetry of the packer.
     merged = merge_overlaps(rois)
-    if max(b.height for b in merged) == max(b.width for b in merged):
-        return
+    assume(max(b.height for b in merged) != max(b.width for b in merged))
     plan = pack(rois, SRC, DST)
     flipped = pack([transposed(r) for r in rois], SRC, DST)
     assert (plan is None) == (flipped is None)
