@@ -27,12 +27,12 @@ class AnnotationError(ValueError):
 
 
 @contextmanager
-def _replacing(path: str):
+def replacing(path: str, newline=None):
     """Open a temporary file beside `path` for writing and move it over
     `path` once written, so a failure never leaves a partial file there."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -58,7 +58,7 @@ def write_annotations(
     path: str, videos: Mapping[str, Sequence[GroundTruthFrame]], frame_spec: FrameSpec
 ):
     side = frame_spec.side
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         for name in videos:
             for frame in videos[name]:
                 record = {
@@ -177,12 +177,12 @@ def result_record(
 
 
 def write_jsonl(path: str, records: Sequence[dict]):
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
 
 
 def write_json(path: str, payload: dict):
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,7 +14,11 @@ pipeline accuracy can be measured without a real model:
 
 All randomness flows from one seed through generators keyed by
 (seed, stream, frame_id, object index), making per-frame results
-independent of processing order.
+independent of processing order. The detector's draws for one object (four
+normals for the edge jitter, one uniform for the margin miss) depend on
+nothing but that key, and every video of a run reuses the same frame ids
+and object indices, so they are memoized per (seed, frame_id, object index)
+in a bounded cache instead of building a generator per detected object.
 
 The generator emits square-frame videos whose per-video union occupancy is
 drawn from a sparse/heavy scene mixture averaging the requested mean;
@@ -22,6 +26,7 @@ objects move with constant velocity plus jitter and reflect off frame
 boundaries.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -57,8 +62,21 @@ _ASPECT_RANGE = (0.65, 1.54)
 _PLACEMENT_TRIES = 25
 
 
+# About 1.8 MB when full (~430 bytes an entry); a run's videos share a few
+# hundred keys, since frame ids and object indices repeat across videos.
+_DETECT_DRAWS_CACHE_SIZE = 4096
+
+
 def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
+
+
+@functools.lru_cache(maxsize=_DETECT_DRAWS_CACHE_SIZE)
+def _detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[float, ...], float]:
+    """Edge-jitter normals and margin-miss uniform for one detected object."""
+    rng = _rng(seed, _STREAM_DETECT, frame_id, idx)
+    z = tuple(rng.standard_normal(4).tolist())
+    return z, rng.uniform()
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +138,7 @@ def base_confidence(noise: NoiseModel, area_fraction: float) -> float:
 
 
 def _jittered(
-    rect: Rect, sigma_x: float, sigma_y: float, z: np.ndarray, bounds: Rect
+    rect: Rect, sigma_x: float, sigma_y: float, z: Sequence[float], bounds: Rect
 ) -> Optional[Rect]:
     """Perturb each edge, clip to bounds; None if the box collapses."""
     if sigma_x == 0.0 and sigma_y == 0.0:
@@ -169,15 +187,16 @@ def oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[D
     In a full view every object is reported. In a reduced view only objects
     whose center falls inside some slot's src are visible; their boxes are
     mapped through the slot transform and clipped to the slot's dst, and
-    the degradation knobs apply. Deterministic given (seed, frame, view).
+    the degradation knobs apply. Deterministic given (seed, frame, view):
+    each object's draws come from `_detect_draws`, memoized per
+    (seed, frame_id, object index), which is valid because they depend on
+    that key alone and not on the view or on the other noise knobs.
     """
     out: list[Detection] = []
     if isinstance(view, FullView):
         bounds = view.frame.bounds
         for idx, obj in enumerate(gt.objects):
-            rng = _rng(noise.seed, _STREAM_DETECT, gt.frame_id, idx)
-            z = rng.standard_normal(4)
-            rng.uniform()  # keep the stream aligned with the reduced path
+            z, _ = _detect_draws(noise.seed, gt.frame_id, idx)
             conf = base_confidence(noise, obj.rect.area / view.frame.area)
             rect = _jittered(obj.rect, noise.loc_sigma, noise.loc_sigma, z, bounds)
             if rect is not None:
@@ -190,9 +209,7 @@ def oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[D
     dest_bounds = plan.dest.bounds
     margin_min, p_miss = noise.margin_miss
     for idx, obj in enumerate(gt.objects):
-        rng = _rng(noise.seed, _STREAM_DETECT, gt.frame_id, idx)
-        z = rng.standard_normal(4)
-        u = rng.uniform()
+        z, u = _detect_draws(noise.seed, gt.frame_id, idx)
         cx, cy = obj.rect.center
         slot = _covering_slot(plan.slots, cx, cy)
         if slot is None:

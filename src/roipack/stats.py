@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .formats import replacing
 from .geometry import FrameSpec, Rect, intersection, union_area
 from .simdet import GroundTruthFrame
 
@@ -81,8 +82,11 @@ def histogram(
 
 
 def write_histogram_csv(hist: Histogram, path: str):
-    """Write a histogram as CSV rows of bin_left,bin_right,count."""
-    with open(path, "w", newline="") as fh:
+    """Write a histogram as CSV rows of bin_left,bin_right,count.
+
+    The rows go to a temporary file that replaces `path` once complete.
+    """
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_left", "bin_right", "count"])
         for left, right, count in zip(hist.edges, hist.edges[1:], hist.counts):

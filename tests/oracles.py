@@ -10,13 +10,17 @@ The exception is reference_expand_greedy: the plain unit-round greedy
 expansion, stepped one round at a time. The package skips quiet rounds in
 bulk and must reproduce it bit for bit, so it shares the package's layout
 and placement helpers and differs only in the growth loop.
+
+Likewise reference_oracle_detect is the simulated detector as it was before
+its per-object draws were memoized: it builds a fresh generator for every
+object, and the package must return equal detections.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from roipack.geometry import FrameSpec, Rect
+from roipack.geometry import FrameSpec, Rect, intersection
 from roipack.packing import (
     GROWTH_STEP,
     MAX_SLOTS,
@@ -29,6 +33,17 @@ from roipack.packing import (
     choose_layout,
     merge_overlaps,
     place_and_fit,
+)
+from roipack.pipeline import Detection, FullView, View
+from roipack.simdet import (
+    _STREAM_DETECT,
+    GroundTruthFrame,
+    NoiseModel,
+    _context_margin,
+    _covering_slot,
+    _jittered,
+    _rng,
+    base_confidence,
 )
 
 
@@ -301,3 +316,57 @@ def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
     if placed is None:
         return None
     return reference_expand_greedy(placed, source)
+
+
+def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[Detection]:
+    """Simulate detection of a frame's ground truth under a view.
+
+    In a full view every object is reported. In a reduced view only objects
+    whose center falls inside some slot's src are visible; their boxes are
+    mapped through the slot transform and clipped to the slot's dst, and
+    the degradation knobs apply. Deterministic given (seed, frame, view).
+    """
+    out: list[Detection] = []
+    if isinstance(view, FullView):
+        bounds = view.frame.bounds
+        for idx, obj in enumerate(gt.objects):
+            rng = _rng(noise.seed, _STREAM_DETECT, gt.frame_id, idx)
+            z = rng.standard_normal(4)
+            rng.uniform()  # keep the stream aligned with the reduced path
+            conf = base_confidence(noise, obj.rect.area / view.frame.area)
+            rect = _jittered(obj.rect, noise.loc_sigma, noise.loc_sigma, z, bounds)
+            if rect is not None:
+                out.append(Detection(rect, obj.class_id, conf))
+        return out
+
+    plan = view.plan
+    if plan.source is None:
+        raise ValueError("reduced view needs a plan with a source frame")
+    dest_bounds = plan.dest.bounds
+    margin_min, p_miss = noise.margin_miss
+    for idx, obj in enumerate(gt.objects):
+        rng = _rng(noise.seed, _STREAM_DETECT, gt.frame_id, idx)
+        z = rng.standard_normal(4)
+        u = rng.uniform()
+        cx, cy = obj.rect.center
+        slot = _covering_slot(plan.slots, cx, cy)
+        if slot is None:
+            continue
+        if _context_margin(obj.rect, slot.src, plan.source.side) < margin_min and u < p_miss:
+            continue
+        visible = intersection(slot.to_dest(obj.rect), slot.dst)
+        if visible is None:
+            continue
+        deviation = abs(slot.scale_x - 1.0) + abs(slot.scale_y - 1.0)
+        conf = base_confidence(noise, obj.rect.area / plan.source.area)
+        conf *= noise.scale_penalty**deviation
+        rect = _jittered(
+            visible,
+            noise.loc_sigma * slot.scale_x,
+            noise.loc_sigma * slot.scale_y,
+            z,
+            dest_bounds,
+        )
+        if rect is not None:
+            out.append(Detection(rect, obj.class_id, conf))
+    return out

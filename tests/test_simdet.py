@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import reference_oracle_detect
 
 from roipack.geometry import FrameSpec, Rect, union_area
 from roipack.packing import PackMethod, PackPlan, PackSlot, pack, pack_naive
@@ -12,6 +13,7 @@ from roipack.simdet import (
     NoiseModel,
     SimulatedDetector,
     SyntheticParams,
+    _detect_draws,
     base_confidence,
     gen_synthetic,
     oracle_detect,
@@ -217,6 +219,89 @@ class TestSimulatedDetector:
             detector.detect(1, FullView(FRAME))
         with pytest.raises(IndexError):
             detector.detect(-1, FullView(FRAME))
+
+
+def _detect_cases():
+    """(video, frame, views) over two videos that share frame ids.
+
+    Reduced views come from packing the previous frame's ground truth, as
+    the pipeline packs the previous frame's detections.
+    """
+    cases = []
+    for video_seed in (11, 12):
+        params = SyntheticParams(num_objects=(2, 6), occupancy_target=0.08, frames=30,
+                                 seed=video_seed)
+        video = gen_synthetic(params)
+        for i, gt in enumerate(video):
+            views = [FullView(FRAME)]
+            rois = [obj.rect for obj in video[i - 1].objects] if i else []
+            for packer in (pack, pack_naive):
+                plan = packer(rois, FRAME, FrameSpec(150.0)) if rois else None
+                if plan is not None:
+                    views.append(ReducedView(plan))
+            cases.append((video_seed, gt, views))
+    return cases
+
+
+DETECT_CASES = _detect_cases()
+NOISE_SEEDS = (0, 5)
+
+
+def _visit_orders():
+    forwards = [(seed, case) for seed in NOISE_SEEDS for case in DETECT_CASES]
+    interleaved = [(seed, case) for case in DETECT_CASES for seed in NOISE_SEEDS]
+    mixed = [
+        pair
+        for a, b in zip(DETECT_CASES, reversed(DETECT_CASES))
+        for pair in ((NOISE_SEEDS[0], a), (NOISE_SEEDS[1], b))
+    ]
+    return {
+        "forwards": forwards,
+        "reversed": forwards[::-1],
+        "interleaved": interleaved,
+        "mixed": mixed,
+    }
+
+
+class TestDetectMatchesReference:
+    """The memoized detector equals the one that draws afresh per object."""
+
+    def test_cases_cover_both_packers(self):
+        methods = {
+            view.plan.method
+            for _, _, views in DETECT_CASES
+            for view in views
+            if isinstance(view, ReducedView)
+        }
+        assert methods == {PackMethod.GREEDY, PackMethod.NAIVE}
+
+    @pytest.mark.parametrize("order", list(_visit_orders()))
+    @pytest.mark.parametrize("profile", ["default", "off"])
+    def test_equal_detections_in_any_visit_order(self, order, profile):
+        _detect_draws.cache_clear()
+        reused = 0
+        for seed, (_, gt, views) in _visit_orders()[order]:
+            noise = NoiseModel(seed=seed) if profile == "default" else NoiseModel.disabled(seed)
+            for view in views:
+                before = _detect_draws.cache_info().hits
+                assert oracle_detect(view, gt, noise) == reference_oracle_detect(view, gt, noise)
+                reused += _detect_draws.cache_info().hits > before
+        assert reused > 0
+
+    def test_default_noise_is_actually_drawn(self):
+        _, gt, views = DETECT_CASES[1]
+        noisy = oracle_detect(views[0], gt, NoiseModel(seed=0))
+        assert noisy == reference_oracle_detect(views[0], gt, NoiseModel(seed=0))
+        assert noisy != oracle_detect(views[0], gt, NoiseModel(seed=5))
+
+    def test_cache_stays_bounded(self):
+        _detect_draws.cache_clear()
+        maxsize = _detect_draws.cache_info().maxsize
+        assert maxsize is not None
+        for key in range(maxsize + 500):
+            _detect_draws(1, key, 0)
+        assert _detect_draws.cache_info().currsize <= maxsize
+        _detect_draws.cache_clear()
 
 
 class TestSyntheticParams:

@@ -142,6 +142,15 @@ class TestHistogram:
             histogram([0.5], 2, value_range=(1.0, 1.0))
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format count")
+
+
+# The second row fails after the header and first row have been written.
+UNWRITABLE = Histogram(edges=(0.0, 0.5, 1.0), counts=(1, _Unprintable()), rejected=0)
+
+
 class TestHistogramCsv:
     def test_layout(self, tmp_path):
         hist = histogram([0.1, 0.1, 0.9], 2)
@@ -161,3 +170,18 @@ class TestHistogramCsv:
             rows = list(csv.reader(fh))[1:]
         assert [float(r[1]) for r in rows] == [1 / 3, 2 / 3]
         assert [int(r[2]) for r in rows] == [4, 5]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        with pytest.raises(RuntimeError):
+            write_histogram_csv(UNWRITABLE, str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(histogram([0.1], 2), str(path))
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            write_histogram_csv(UNWRITABLE, str(path))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
