@@ -1,7 +1,6 @@
 """Pinned outputs of `roipack run` on a small fixed dataset.
 
-The hashes were recorded before any optimisation of the packing or detector
-hot paths; a change that is meant to keep behaviour must keep them. The
+A change that is meant to keep behaviour must keep these hashes. The
 annotations path is relative because `run` copies it into the summary.
 """
 
