@@ -1,6 +1,15 @@
-"""Command line front end: generate data, run the pipeline, report stats."""
+"""Command line front end: generate data, run the pipeline, report stats.
+
+`run` streams each video's result records into the results file as soon as
+the video has run, keeps only what scoring needs, and scores all classes in
+one pass. Commands run with the cyclic garbage collector off: their data are
+acyclic (frozen dataclasses, tuples, dicts) that reference counting frees,
+so full collections would only re-walk a heap that grows with the input.
+"""
 
 import argparse
+import gc
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -138,7 +147,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    summary_path = str(Path(args.out).with_suffix("")) + ".summary.json"
+    for path in (args.out, summary_path):
+        if _same_file(path, args.annotations):
+            raise ValueError(
+                f"--out {args.out} would write {path} over the annotations file"
+            )
     s1 = FrameSpec(args.full_size)
     s2 = FrameSpec(args.reduced_size)
     videos = read_annotations(args.annotations, s1)
@@ -156,21 +178,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         s1, s2, pack_overhead=args.pack_overhead, skip_cost=args.skip_cost
     )
 
-    records = []
     decisions = []
     det_pairs = []
     gt_pairs = []
-    for name in sorted(videos):
-        frames = videos[name]
-        detector = SimulatedDetector(frames, noise)
-        run = run_video(len(frames), config, detector, cost_params, packer)
-        for frame, rec in zip(frames, run.records):
-            records.append(result_record(name, frame, rec.decision, rec.detections, s1))
-            decisions.append(rec.decision)
-            key = (name, frame.frame_id)
-            det_pairs.extend((key, det) for det in rec.detections)
-            gt_pairs.extend((key, obj) for obj in frame.objects)
 
+    def records():
+        for name in sorted(videos):
+            frames = videos[name]
+            detector = SimulatedDetector(frames, noise)
+            run = run_video(len(frames), config, detector, cost_params, packer)
+            for frame, rec in zip(frames, run.records):
+                decisions.append(rec.decision)
+                key = (name, frame.frame_id)
+                det_pairs.extend((key, det) for det in rec.detections)
+                gt_pairs.extend((key, obj) for obj in frame.objects)
+                yield result_record(name, frame, rec.decision, rec.detections, s1)
+
+    write_jsonl(args.out, records())
     cost = aggregate(decisions, cost_params)
     if gt_pairs:
         report = evaluate_detections(det_pairs, gt_pairs)
@@ -199,12 +223,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "cost": cost.to_json_dict(),
         "evaluation": report.to_json_dict(),
     }
-    summary_path = str(Path(args.out).with_suffix("")) + ".summary.json"
-    write_jsonl(args.out, records)
     write_json(summary_path, summary)
     mean_ap = "n/a" if report.mean_ap is None else f"{report.mean_ap:.4f}"
     print(
-        f"processed {len(records)} frames ({args.mode}): "
+        f"processed {len(decisions)} frames ({args.mode}): "
         f"flop_reduction={cost.flop_reduction:.4f} mAP={mean_ap}"
     )
     print(f"results: {args.out}")
@@ -257,11 +279,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"gen": _cmd_gen, "run": _cmd_run, "stats": _cmd_stats}
+    # The cyclic collector is off for the command (see the module docstring)
+    # and back in the caller's state afterwards, however the command ends.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except (AnnotationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

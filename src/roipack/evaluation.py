@@ -5,68 +5,61 @@ then by input order) and greedily matched, each to the highest-overlap
 still-unmatched ground-truth box of its class in its frame. A match needs
 at least the IoU threshold; everything else is a false positive. Average
 precision integrates the precision envelope over all recall points.
+
+Scoring takes one pass: ground truth is grouped by class and frame once,
+each class's detections are ranked once, and IoU is computed inline with
+the float operations of `geometry.iou`, so every AP is the same to the bit
+as matching class by class with `iou`.
 """
 
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence
 
-from .geometry import iou
+from .geometry import Rect
 from .pipeline import Detection
 from .simdet import GtObject
 
 FrameKey = Hashable
 
 
-def _ranked(
-    detections: Sequence[tuple[FrameKey, Detection]], class_id: int
-) -> list[tuple[FrameKey, Detection]]:
-    indexed = [
-        (frame_key, order, det)
-        for order, (frame_key, det) in enumerate(detections)
-        if det.class_id == class_id
-    ]
-    indexed.sort(key=lambda item: (-item[2].confidence, item[0], item[1]))
-    return [(frame_key, det) for frame_key, _, det in indexed]
-
-
-def average_precision(
-    detections: Sequence[tuple[FrameKey, Detection]],
-    ground_truth: Sequence[tuple[FrameKey, GtObject]],
-    class_id: int,
-    iou_threshold: float = 0.5,
-) -> Optional[float]:
-    """AP for one class, or None when the class has no ground truth.
-
-    Frame keys must sort consistently; detections and ground truth are
-    matched only within the same frame key.
-    """
-    gt_by_frame: dict[FrameKey, list[GtObject]] = {}
-    npos = 0
-    for frame_key, gt in ground_truth:
-        if gt.class_id != class_id:
-            continue
-        gt_by_frame.setdefault(frame_key, []).append(gt)
-        npos += 1
-    if npos == 0:
-        return None
-
-    ranked = _ranked(detections, class_id)
-    used: set[tuple[FrameKey, int]] = set()
+def _class_ap(
+    ranked: list[tuple[float, FrameKey, int, Rect]],
+    gt_by_frame: dict[FrameKey, list[Rect]],
+    iou_threshold: float,
+) -> float:
+    """AP of one class from its (-confidence, frame key, input order, rect)
+    detections and its ground-truth boxes per frame, which it consumes."""
+    npos = sum(len(boxes) for boxes in gt_by_frame.values())
+    ranked.sort()
     tp = 0
     recalls: list[float] = []
     precisions: list[float] = []
-    for rank, (frame_key, det) in enumerate(ranked, start=1):
-        best_iou = 0.0
-        best_idx = -1
-        for gt_idx, gt in enumerate(gt_by_frame.get(frame_key, [])):
-            if (frame_key, gt_idx) in used:
-                continue
-            overlap = iou(det.rect, gt.rect)
-            if overlap > best_iou:
-                best_iou, best_idx = overlap, gt_idx
-        if best_idx >= 0 and best_iou >= iou_threshold:
-            used.add((frame_key, best_idx))
-            tp += 1
+    for rank, (_, frame_key, _, det) in enumerate(ranked, start=1):
+        # A matched box is removed from its frame's list, so the boxes left
+        # are the unmatched ones in input order and an IoU tie still goes to
+        # the first of them.
+        boxes = gt_by_frame.get(frame_key)
+        if boxes:
+            ax0, ay0, ax1, ay1 = det.x_min, det.y_min, det.x_max, det.y_max
+            area_a = (ax1 - ax0) * (ay1 - ay0)
+            best_iou = 0.0
+            best_idx = -1
+            for gt_idx, gt in enumerate(boxes):
+                # iou(det, gt): max/min keep their first argument on a tie.
+                bx0, by0, bx1, by1 = gt.x_min, gt.y_min, gt.x_max, gt.y_max
+                x_min = bx0 if bx0 > ax0 else ax0
+                y_min = by0 if by0 > ay0 else ay0
+                x_max = bx1 if bx1 < ax1 else ax1
+                y_max = by1 if by1 < ay1 else ay1
+                if x_min >= x_max or y_min >= y_max:
+                    continue
+                inter_area = (x_max - x_min) * (y_max - y_min)
+                overlap = inter_area / (area_a + (bx1 - bx0) * (by1 - by0) - inter_area)
+                if overlap > best_iou:
+                    best_iou, best_idx = overlap, gt_idx
+            if best_idx >= 0 and best_iou >= iou_threshold:
+                del boxes[best_idx]
+                tp += 1
         recalls.append(tp / npos)
         precisions.append(tp / rank)
 
@@ -82,8 +75,43 @@ def average_precision(
     return ap
 
 
+def _per_class_ap(
+    detections: Sequence[tuple[FrameKey, Detection]],
+    ground_truth: Sequence[tuple[FrameKey, GtObject]],
+    iou_threshold: float,
+) -> dict[int, float]:
+    """AP of every class with ground truth, in ascending class order."""
+    gt_by_class: dict[int, dict[FrameKey, list[Rect]]] = {}
+    for frame_key, gt in ground_truth:
+        gt_by_class.setdefault(gt.class_id, {}).setdefault(frame_key, []).append(gt.rect)
+    ranked: dict[int, list] = {class_id: [] for class_id in gt_by_class}
+    for order, (frame_key, det) in enumerate(detections):
+        bucket = ranked.get(det.class_id)
+        if bucket is not None:
+            bucket.append((-det.confidence, frame_key, order, det.rect))
+    return {
+        class_id: _class_ap(ranked.pop(class_id), gt_by_class.pop(class_id), iou_threshold)
+        for class_id in sorted(gt_by_class)
+    }
+
+
+def average_precision(
+    detections: Sequence[tuple[FrameKey, Detection]],
+    ground_truth: Sequence[tuple[FrameKey, GtObject]],
+    class_id: int,
+    iou_threshold: float = 0.5,
+) -> Optional[float]:
+    """AP for one class, or None when the class has no ground truth.
+
+    Frame keys must sort consistently; detections and ground truth are
+    matched only within the same frame key.
+    """
+    own = [(frame_key, gt) for frame_key, gt in ground_truth if gt.class_id == class_id]
+    return _per_class_ap(detections, own, iou_threshold).get(class_id)
+
+
 def mean_average_precision(per_class: Mapping[int, Optional[float]]) -> float:
-    """Unweighted mean of the defined per-class APs.
+    """Unweighted mean of the defined per-class APs, summed left to right.
 
     Raises:
         ValueError: when no class has a defined AP.
@@ -91,7 +119,12 @@ def mean_average_precision(per_class: Mapping[int, Optional[float]]) -> float:
     defined = [ap for ap in per_class.values() if ap is not None]
     if not defined:
         raise ValueError("no class has ground truth; mAP is undefined")
-    return sum(defined) / len(defined)
+    # A plain fold, not sum(): from Python 3.12 on, sum() of floats is
+    # compensated and can change the last bit of the mean.
+    total = 0.0
+    for ap in defined:
+        total += ap
+    return total / len(defined)
 
 
 @dataclass(frozen=True)
@@ -122,10 +155,7 @@ def evaluate_detections(
     iou_threshold: float = 0.5,
 ) -> EvalReport:
     """Score detections against ground truth over every annotated class."""
-    classes = sorted({gt.class_id for _, gt in ground_truth})
-    per_class = {
-        c: average_precision(detections, ground_truth, c, iou_threshold) for c in classes
-    }
+    per_class = _per_class_ap(detections, ground_truth, iou_threshold)
     return EvalReport(
         per_class=per_class,
         mean_ap=mean_average_precision(per_class),

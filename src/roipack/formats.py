@@ -9,12 +9,17 @@ Coordinates are normalized to [0, 1] and scaled to the working frame side
 on ingest. Result files mirror the input records and add the processing
 decision and the detections (with confidence); packed frames also carry
 their plan in working-frame pixels.
+
+Every file is written to `<path>.tmp` and moved over `path` once complete.
+`write_jsonl` encodes and writes each record as its iterable yields it, so
+a caller can stream records that are made one at a time; a failure while
+producing them leaves neither a partial file nor the temporary one.
 """
 
 import json
 import os
 from contextlib import contextmanager, suppress
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .geometry import FrameSpec, Rect
 from .packing import PackPlan
@@ -176,7 +181,8 @@ def result_record(
     return record
 
 
-def write_jsonl(path: str, records: Sequence[dict]):
+def write_jsonl(path: str, records: Iterable[dict]):
+    """Write one JSON line per record, each as soon as it is yielded."""
     with replacing(path) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")

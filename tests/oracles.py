@@ -13,14 +13,19 @@ and placement helpers and differs only in the growth loop.
 
 Likewise reference_oracle_detect is the simulated detector as it was before
 its per-object draws were memoized: it builds a fresh generator for every
-object, and the package must return equal detections.
+object, and the package must return equal detections. And
+reference_evaluate_detections is the evaluator as it was before scoring
+became one pass: it re-filters every detection and ground-truth box once per
+class and builds a Rect per IoU, and the package must report equal APs.
 """
 
 from fractions import Fraction
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from roipack.geometry import FrameSpec, Rect, intersection
+from roipack.evaluation import EvalReport, mean_average_precision
+from roipack.geometry import FrameSpec, Rect, intersection, iou
 from roipack.packing import (
     GROWTH_STEP,
     MAX_SLOTS,
@@ -38,6 +43,7 @@ from roipack.pipeline import Detection, FullView, View
 from roipack.simdet import (
     _STREAM_DETECT,
     GroundTruthFrame,
+    GtObject,
     NoiseModel,
     _context_margin,
     _covering_slot,
@@ -370,3 +376,90 @@ def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel)
         if rect is not None:
             out.append(Detection(rect, obj.class_id, conf))
     return out
+
+
+FrameKey = Hashable
+
+
+def _ranked(
+    detections: Sequence[tuple[FrameKey, Detection]], class_id: int
+) -> list[tuple[FrameKey, Detection]]:
+    indexed = [
+        (frame_key, order, det)
+        for order, (frame_key, det) in enumerate(detections)
+        if det.class_id == class_id
+    ]
+    indexed.sort(key=lambda item: (-item[2].confidence, item[0], item[1]))
+    return [(frame_key, det) for frame_key, _, det in indexed]
+
+
+def reference_average_precision(
+    detections: Sequence[tuple[FrameKey, Detection]],
+    ground_truth: Sequence[tuple[FrameKey, GtObject]],
+    class_id: int,
+    iou_threshold: float = 0.5,
+) -> Optional[float]:
+    """AP for one class, or None when the class has no ground truth.
+
+    Frame keys must sort consistently; detections and ground truth are
+    matched only within the same frame key.
+    """
+    gt_by_frame: dict[FrameKey, list[GtObject]] = {}
+    npos = 0
+    for frame_key, gt in ground_truth:
+        if gt.class_id != class_id:
+            continue
+        gt_by_frame.setdefault(frame_key, []).append(gt)
+        npos += 1
+    if npos == 0:
+        return None
+
+    ranked = _ranked(detections, class_id)
+    used: set[tuple[FrameKey, int]] = set()
+    tp = 0
+    recalls: list[float] = []
+    precisions: list[float] = []
+    for rank, (frame_key, det) in enumerate(ranked, start=1):
+        best_iou = 0.0
+        best_idx = -1
+        for gt_idx, gt in enumerate(gt_by_frame.get(frame_key, [])):
+            if (frame_key, gt_idx) in used:
+                continue
+            overlap = iou(det.rect, gt.rect)
+            if overlap > best_iou:
+                best_iou, best_idx = overlap, gt_idx
+        if best_idx >= 0 and best_iou >= iou_threshold:
+            used.add((frame_key, best_idx))
+            tp += 1
+        recalls.append(tp / npos)
+        precisions.append(tp / rank)
+
+    # All-points interpolation: integrate the monotone precision envelope.
+    mrec = [0.0] + recalls + [1.0]
+    mpre = [0.0] + precisions + [0.0]
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    ap = 0.0
+    for i in range(len(mrec) - 1):
+        if mrec[i + 1] != mrec[i]:
+            ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
+    return ap
+
+
+def reference_evaluate_detections(
+    detections: Sequence[tuple[FrameKey, Detection]],
+    ground_truth: Sequence[tuple[FrameKey, GtObject]],
+    iou_threshold: float = 0.5,
+) -> EvalReport:
+    """Score detections against ground truth over every annotated class."""
+    classes = sorted({gt.class_id for _, gt in ground_truth})
+    per_class = {
+        c: reference_average_precision(detections, ground_truth, c, iou_threshold)
+        for c in classes
+    }
+    return EvalReport(
+        per_class=per_class,
+        mean_ap=mean_average_precision(per_class),
+        num_detections=len(detections),
+        num_ground_truth=len(ground_truth),
+    )

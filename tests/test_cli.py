@@ -1,8 +1,11 @@
+import gc
 import json
 
 import pytest
 
+from roipack import cli
 from roipack.cli import main
+from roipack.simdet import SimulatedDetector
 
 OCC_HALF = '{"class": 0, "x0": 0.0, "y0": 0.0, "x1": 0.5, "y1": 0.5}'
 OCC_HALF2 = '{"class": 0, "x0": 0.5, "y0": 0.5, "x1": 1.0, "y1": 1.0}'
@@ -151,6 +154,23 @@ class TestRun:
         assert summary["cost"]["frames"] == 6
         assert "mAP=n/a" in capsys.readouterr().out
 
+    def test_out_over_annotations_is_refused(self, tmp_path, capsys):
+        ann = gen(tmp_path)
+        before = ann.read_bytes()
+        assert self.run(ann, ann) == 1
+        assert f"would write {ann} over the annotations file" in capsys.readouterr().err
+        assert ann.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    def test_summary_over_annotations_is_refused(self, tmp_path, capsys):
+        # The summary of r.jsonl is r.summary.json.
+        ann = gen(tmp_path, name="r.summary.json")
+        before = ann.read_bytes()
+        assert self.run(ann, tmp_path / "r.jsonl") == 1
+        assert f"would write {ann} over the annotations file" in capsys.readouterr().err
+        assert ann.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.summary.json"]
+
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["run", "x.jsonl", "--mode", "turbo", "--out", "y.jsonl"])
@@ -160,6 +180,110 @@ class TestRun:
         with pytest.raises(SystemExit) as err:
             main(["run", "x.jsonl", "--tau", "1.5", "--out", "y.jsonl"])
         assert err.value.code == 2
+
+
+class FailingDetector(SimulatedDetector):
+    """Raises on the first frame of the third video it is built for, and
+    notes whether the cyclic garbage collector was on at that moment."""
+
+    built = 0
+    gc_on_at_failure = None
+
+    def __init__(self, frames, noise):
+        super().__init__(frames, noise)
+        type(self).built += 1
+        self.doomed = type(self).built == 3
+
+    def detect(self, frame_index, view):
+        if self.doomed:
+            type(self).gc_on_at_failure = gc.isenabled()
+            raise RuntimeError("detector failed")
+        return super().detect(frame_index, view)
+
+
+@pytest.fixture
+def failing(monkeypatch):
+    monkeypatch.setattr(FailingDetector, "built", 0)
+    monkeypatch.setattr(FailingDetector, "gc_on_at_failure", None)
+    monkeypatch.setattr(cli, "SimulatedDetector", FailingDetector)
+
+
+class TestRunFailure:
+    def test_leaves_no_outputs(self, tmp_path, failing):
+        ann = gen(tmp_path)
+        with pytest.raises(RuntimeError, match="detector failed"):
+            main(["run", str(ann), "--out", str(tmp_path / "out.jsonl")])
+        assert FailingDetector.built == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    def test_keeps_older_outputs(self, tmp_path, failing):
+        ann = gen(tmp_path)
+        out = tmp_path / "out.jsonl"
+        out.write_text("older results\n")
+        (tmp_path / "out.summary.json").write_text("older summary\n")
+        with pytest.raises(RuntimeError):
+            main(["run", str(ann), "--out", str(out)])
+        assert out.read_text() == "older results\n"
+        assert (tmp_path / "out.summary.json").read_text() == "older summary\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.jsonl", "out.jsonl", "out.summary.json"]
+
+    def test_results_are_written_while_the_run_goes(self, tmp_path, monkeypatch):
+        ann = gen(tmp_path)
+        tmp = tmp_path / "out.jsonl.tmp"
+        seen = []
+
+        class Watching(SimulatedDetector):
+            def __init__(self, frames, noise):
+                super().__init__(frames, noise)
+                seen.append(tmp.exists())
+
+        monkeypatch.setattr(cli, "SimulatedDetector", Watching)
+        assert main(["run", str(ann), "--out", str(tmp_path / "out.jsonl")]) == 0
+        assert seen == [True, True, True]
+        assert not tmp.exists()
+
+
+class TestGarbageCollection:
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_state_restored_after_success(self, tmp_path, gc_state):
+        ann = gen(tmp_path)
+        assert gc.isenabled() == gc_state
+        assert main(["run", str(ann), "--out", str(tmp_path / "out.jsonl")]) == 0
+        assert gc.isenabled() == gc_state
+
+    def test_state_restored_after_error(self, tmp_path, gc_state):
+        assert main(["run", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o.jsonl")]) == 1
+        assert gc.isenabled() == gc_state
+
+    def test_state_restored_after_exception(self, tmp_path, gc_state, failing):
+        ann = gen(tmp_path)
+        with pytest.raises(RuntimeError):
+            main(["run", str(ann), "--out", str(tmp_path / "out.jsonl")])
+        assert FailingDetector.gc_on_at_failure is False
+        assert gc.isenabled() == gc_state
+
+    def test_commands_leave_no_cycles_that_grow_with_the_input(self, tmp_path, capsys):
+        found = {}
+        for videos in ("1", "20"):
+            ann = str(tmp_path / f"{videos}.jsonl")
+            found[videos] = []
+            for argv in (
+                ["gen", "--videos", videos, "--frames", "20", "--out", ann],
+                ["run", ann, "--out", str(tmp_path / "out.jsonl")],
+                ["stats", ann, "--out-dir", str(tmp_path / "stats")],
+            ):
+                gc.collect()
+                assert main(argv) == 0
+                found[videos].append(gc.collect())
+        # What is left is the argument parser's own cycles.
+        assert found["1"] == found["20"]
 
 
 class TestStats:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import reference_ap
+from oracles import reference_ap, reference_average_precision, reference_evaluate_detections
 from roipack.evaluation import average_precision, evaluate_detections, mean_average_precision
 from roipack.geometry import Rect
-from roipack.pipeline import Detection
-from roipack.simdet import GtObject
+from roipack.pipeline import Detection, PipelineConfig, run_video
+from roipack.simdet import GtObject, NoiseModel, SimulatedDetector, SyntheticParams, gen_synthetic
 
 GT_A = Rect(10, 10, 50, 50)
 GT_B = Rect(100, 100, 160, 160)
@@ -148,9 +148,101 @@ class TestAgainstReference:
         assert checked >= 40
 
 
+def tricky_instance(rng):
+    """Evaluation problem on an integer grid, built to hit every tie rule.
+
+    Confidences come from four values, so ties are common. Ground-truth
+    boxes have even sizes, so a detection covering half of one has IoU
+    exactly 0.5, and a detection straddling two equal boxes equally has
+    equal IoU with both. Some frames have no ground truth, class 3 never
+    has any, and some detections are repeated verbatim.
+    """
+    confs = (0.2, 0.5, 0.8, 1.0)
+    gts, dets = [], []
+
+    def det(key, box, cls):
+        dets.append((key, d(Rect(*box), float(rng.choice(confs)), cls)))
+
+    for f in range(int(rng.integers(1, 6))):
+        key = ("v", f)
+        if rng.uniform() < 0.25:
+            continue  # no ground truth in this frame
+        for _ in range(int(rng.integers(1, 5))):
+            x, y = (int(v) for v in rng.integers(0, 40, 2))
+            w, h = (2 * int(v) for v in rng.integers(1, 8, 2))
+            cls = int(rng.integers(0, 3))
+            gts.append((key, GtObject(cls, Rect(x, y, x + w, y + h))))
+            kind = int(rng.integers(0, 5))
+            if kind == 0:
+                det(key, (x, y, x + w, y + h), cls)
+            elif kind == 1:  # duplicates
+                for _ in range(2):
+                    dets.append((key, d(Rect(x, y, x + w, y + h), 0.5, cls)))
+            elif kind == 2:  # IoU exactly 0.5
+                det(key, (x, y, x + w // 2, y + h), cls)
+            elif kind == 3:
+                dx, dy = (int(v) for v in rng.integers(-3, 4, 2))
+                det(key, (x + dx, y + dy, x + dx + w, y + dy + h), cls)
+        if rng.uniform() < 0.5:  # two equal boxes and a detection straddling both
+            x, y, w = 60 + 10 * f, 5, 6
+            cls = int(rng.integers(0, 3))
+            gts.append((key, GtObject(cls, Rect(x, y, x + w, y + w))))
+            gts.append((key, GtObject(cls, Rect(x + w + 2, y, x + 2 * w + 2, y + w))))
+            det(key, (x + w // 2, y, x + w + 2 + w // 2, y + w), cls)
+    for _ in range(int(rng.integers(1, 5))):
+        key = ("v", int(rng.integers(0, 7)))
+        x, y = (int(v) for v in rng.integers(0, 40, 2))
+        det(key, (x, y, x + 8, y + 8), int(rng.integers(0, 4)))
+    order = rng.permutation(len(dets))
+    return [dets[i] for i in order], gts
+
+
+class TestMatchesPreviousEvaluator:
+    """The one-pass evaluator against the per-class rescans it replaced."""
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.25, 0.75])
+    def test_equal_on_tricky_inputs(self, threshold):
+        rng = np.random.default_rng(2024)
+        defined = 0
+        for case in range(300):
+            dets, gts = tricky_instance(rng)
+            if not gts:
+                continue
+            got = evaluate_detections(dets, gts, threshold)
+            want = reference_evaluate_detections(dets, gts, threshold)
+            assert got.per_class == want.per_class, case
+            assert got.mean_ap == want.mean_ap, case
+            assert (got.num_detections, got.num_ground_truth) == (
+                want.num_detections, want.num_ground_truth)
+            for cls in range(4):
+                assert average_precision(dets, gts, cls, threshold) == (
+                    reference_average_precision(dets, gts, cls, threshold)), (case, cls)
+            defined += len(got.per_class)
+        assert defined > 500
+
+    def test_benchmark_like_run(self):
+        # Detections from the simulated detector over generated videos.
+        dets, gts = [], []
+        for seed in range(6):
+            frames = gen_synthetic(SyntheticParams(frames=30, seed=seed, num_objects=(3, 6)))
+            detector = SimulatedDetector(frames, NoiseModel(seed=1))
+            run = run_video(len(frames), PipelineConfig(), detector)
+            for frame, rec in zip(frames, run.records):
+                key = (f"v{seed}", frame.frame_id)
+                dets.extend((key, det) for det in rec.detections)
+                gts.extend((key, obj) for obj in frame.objects)
+        got = evaluate_detections(dets, gts)
+        want = reference_evaluate_detections(dets, gts)
+        assert (got.per_class, got.mean_ap) == (want.per_class, want.mean_ap)
+
+
 class TestMeanAveragePrecision:
     def test_simple_mean(self):
         assert mean_average_precision({0: 1.0, 1: 0.5}) == 0.75
+
+    def test_sums_left_to_right(self):
+        # Not the compensated sum() of Python 3.12+, which rounds differently.
+        assert mean_average_precision({0: 0.1, 1: 0.2, 2: 0.3}) == ((0.1 + 0.2) + 0.3) / 3
 
     def test_undefined_classes_are_skipped(self):
         dets, gts = worked_example()

@@ -205,6 +205,32 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert [json.loads(l) for l in lines] == [{"a": 1}, {"b": 2.5}]
 
+    def test_jsonl_takes_records_as_they_are_made(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        tmp = tmp_path / "out.jsonl.tmp"
+        seen = []
+
+        def records():
+            for i in range(3):
+                seen.append(tmp.exists())
+                yield {"i": i}
+
+        write_jsonl(str(path), records())
+        assert seen == [True, True, True]
+        assert [json.loads(l) for l in path.read_text().splitlines()] == [
+            {"i": 0}, {"i": 1}, {"i": 2}]
+
+    def test_failure_while_making_records_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+
+        def records():
+            yield {"a": 1}
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError):
+            write_jsonl(str(path), records())
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_sorted_and_newline_terminated(self, tmp_path):
         path = tmp_path / "out.json"
         write_json(str(path), {"zebra": 1, "apple": 2})

@@ -313,6 +313,52 @@ def test_transposing_rois_transposes_the_plan(rois):
         ]
 
 
+def mirrored(r, side=SRC.side):
+    return Rect(side - r.x_max, r.y_min, side - r.x_min, r.y_max)
+
+
+int_roi_st = st.builds(
+    lambda x, y, w, h: Rect(x, y, min(300, x + w), min(300, y + h)),
+    st.integers(0, 296),
+    st.integers(0, 296),
+    st.integers(4, 80),
+    st.integers(4, 80),
+)
+
+
+def close(a, b, tol=1e-9):
+    return all(
+        abs(p - q) <= tol
+        for p, q in zip((a.x_min, a.y_min, a.x_max, a.y_max), (b.x_min, b.y_min, b.x_max, b.y_max))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(int_roi_st, min_size=1, max_size=6))
+def test_mirroring_rois_mirrors_each_src_and_keeps_each_dst(rois):
+    # What holds under x -> side - x, for integer ROIs (so the mirror and
+    # every width are exact):
+    # - merging, the layout and the fit test see only overlaps, widths,
+    #   heights and input order, so the same slots exist in the same order;
+    # - placement starts the groups at dst x = 0 whatever the src positions,
+    #   so each slot keeps its dst: the packed frame is not mirrored;
+    # - expansion grows an interval half per side, spills growth clipped at
+    #   one frame edge to the other side, and stops at the same neighbours,
+    #   so each grown src is the mirror of the original's.
+    # Only the collision bisection's fractional steps round differently on
+    # the two sides, by a few ulps, hence the tolerance.
+    plan = pack(rois, SRC, DST)
+    flipped = pack([mirrored(r) for r in rois], SRC, DST)
+    assert (plan is None) == (flipped is None)
+    if plan is not None:
+        assert flipped.layout == plan.layout
+        assert len(flipped.slots) == len(plan.slots)
+        for s, f in zip(plan.slots, flipped.slots):
+            assert close(f.dst, s.dst)
+            assert close(f.src, mirrored(s.src))
+            assert (f.scale_x, f.scale_y) == (s.scale_x, s.scale_y)
+
+
 class TestPack:
     def test_empty_and_overflow(self):
         assert pack([], SRC, DST) is None
