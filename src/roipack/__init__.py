@@ -1,102 +1,7 @@
 """Cut video object-detection compute by packing prior-frame regions of
-interest into one reduced frame, detecting there and mapping results back."""
+interest into one reduced frame, detecting there and mapping results back.
 
-from .costmodel import CostParams, CostReport, DecisionKind, aggregate, frame_cost
-from .evaluation import (
-    EvalReport,
-    average_precision,
-    evaluate_detections,
-    mean_average_precision,
-)
-from .geometry import FrameSpec, Rect, enclosing, intersection, iou, union_area
-from .packing import (
-    Layout,
-    PackMethod,
-    PackPlan,
-    PackSlot,
-    choose_layout,
-    connected_components,
-    expand_greedy,
-    merge_overlaps,
-    pack,
-    pack_naive,
-    place_and_fit,
-)
-from .pipeline import (
-    Detection,
-    Detector,
-    FrameDecision,
-    FrameRecord,
-    FullView,
-    PipelineConfig,
-    ReducedView,
-    VideoRun,
-    map_back,
-    rois_from_detections,
-    run_video,
-    step,
-)
-from .simdet import (
-    GroundTruthFrame,
-    GtObject,
-    NoiseModel,
-    SimulatedDetector,
-    SyntheticParams,
-    gen_synthetic,
-    oracle_detect,
-)
-from .stats import Histogram, histogram, occupancy_ratio, temporal_region_iou
+Import from the submodules, e.g. `from roipack.packing import pack`.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CostParams",
-    "CostReport",
-    "DecisionKind",
-    "Detection",
-    "Detector",
-    "EvalReport",
-    "FrameDecision",
-    "FrameRecord",
-    "FrameSpec",
-    "FullView",
-    "GroundTruthFrame",
-    "GtObject",
-    "Histogram",
-    "Layout",
-    "NoiseModel",
-    "PackMethod",
-    "PackPlan",
-    "PackSlot",
-    "PipelineConfig",
-    "Rect",
-    "ReducedView",
-    "SimulatedDetector",
-    "SyntheticParams",
-    "VideoRun",
-    "aggregate",
-    "average_precision",
-    "choose_layout",
-    "connected_components",
-    "enclosing",
-    "evaluate_detections",
-    "expand_greedy",
-    "frame_cost",
-    "gen_synthetic",
-    "histogram",
-    "intersection",
-    "iou",
-    "map_back",
-    "mean_average_precision",
-    "merge_overlaps",
-    "occupancy_ratio",
-    "oracle_detect",
-    "pack",
-    "pack_naive",
-    "place_and_fit",
-    "rois_from_detections",
-    "run_video",
-    "step",
-    "temporal_region_iou",
-    "union_area",
-]

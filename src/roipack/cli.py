@@ -9,9 +9,12 @@ so full collections would only re-walk a heap that grows with the input.
 
 import argparse
 import gc
+import math
 import os
 import sys
 from dataclasses import replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -33,46 +36,26 @@ from .simdet import NoiseModel, SimulatedDetector, SyntheticParams, gen_syntheti
 from .stats import histogram, occupancy_ratio, temporal_region_iou, write_histogram_csv
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(cast, ok, rule: str):
+    """An argparse type: `cast` text to a finite value that passes `ok`."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not (-math.inf < value < math.inf and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    # argparse names the type in its "invalid <name> value" message.
+    parse.__name__ = cast.__name__
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
+_positive_int = _number(int, lambda v: v >= 1, ">= 1")
+_nonnegative_int = _number(int, lambda v: v >= 0, ">= 0")
+_nonnegative_float = _number(float, lambda v: v >= 0, "finite and >= 0")
+_positive_float = _number(float, lambda v: v > 0, "finite and > 0")
+_fraction = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_unit_interval = _number(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,9 +238,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "annotations": args.annotations,
         "videos": len(videos),
         "frames": len(occupancies),
-        "mean_occupancy": sum(occupancies) / len(occupancies),
+        # Folds left to right, not sum(), whose floats are compensated (and
+        # so round differently) from Python 3.12 on.
+        "mean_occupancy": reduce(add, occupancies, 0.0) / len(occupancies),
         "frame_pairs": len(overlaps),
-        "mean_temporal_iou": sum(overlaps) / len(overlaps) if overlaps else None,
+        "mean_temporal_iou": reduce(add, overlaps, 0.0) / len(overlaps) if overlaps else None,
     }
     if overlaps:
         iou_hist = histogram(overlaps, args.bins)

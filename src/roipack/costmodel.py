@@ -1,4 +1,4 @@
-"""FLOP accounting for per-frame processing decisions.
+"""Per-frame processing decisions and their FLOP accounting.
 
 Detector cost is modeled as proportional to the squared frame side, so a
 half-size frame costs a quarter of a full one. Packing a frame adds a fixed
@@ -9,12 +9,12 @@ attempt pays that overhead and then the full-frame cost on top.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from functools import reduce
+from operator import add
+from typing import Mapping, Optional, Sequence
 
 from .geometry import FrameSpec
-
-if TYPE_CHECKING:
-    from .pipeline import FrameDecision
+from .packing import PackPlan
 
 
 class DecisionKind(str, Enum):
@@ -24,6 +24,34 @@ class DecisionKind(str, Enum):
     PACKED = "packed"
     FALLBACK_FULL = "fallback_full"
     SKIPPED = "skipped"
+
+
+@dataclass(frozen=True, slots=True)
+class FrameDecision:
+    """Tagged processing decision; PACKED carries its plan."""
+
+    kind: DecisionKind
+    plan: Optional[PackPlan] = None
+
+    def __post_init__(self):
+        if (self.kind is DecisionKind.PACKED) != (self.plan is not None):
+            raise ValueError("exactly the PACKED decision carries a plan")
+
+    @classmethod
+    def anchor(cls) -> "FrameDecision":
+        return cls(DecisionKind.ANCHOR)
+
+    @classmethod
+    def packed(cls, plan: PackPlan) -> "FrameDecision":
+        return cls(DecisionKind.PACKED, plan)
+
+    @classmethod
+    def fallback_full(cls) -> "FrameDecision":
+        return cls(DecisionKind.FALLBACK_FULL)
+
+    @classmethod
+    def skipped(cls) -> "FrameDecision":
+        return cls(DecisionKind.SKIPPED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +93,7 @@ class CostParams:
         )
 
 
-def frame_cost(decision: "FrameDecision", params: CostParams) -> float:
+def frame_cost(decision: FrameDecision, params: CostParams) -> float:
     """FLOP cost of processing one frame under the given decision."""
     kind = decision.kind
     if kind is DecisionKind.ANCHOR:
@@ -79,7 +107,7 @@ def frame_cost(decision: "FrameDecision", params: CostParams) -> float:
     raise ValueError(f"unknown decision kind: {kind!r}")
 
 
-def _frame_overhead(decision: "FrameDecision", params: CostParams) -> float:
+def _frame_overhead(decision: FrameDecision, params: CostParams) -> float:
     if decision.kind in (DecisionKind.PACKED, DecisionKind.FALLBACK_FULL):
         return params.pack_overhead * params.flops_full
     return 0.0
@@ -113,7 +141,7 @@ class CostReport:
         }
 
 
-def aggregate(decisions: Sequence["FrameDecision"], params: CostParams) -> CostReport:
+def aggregate(decisions: Sequence[FrameDecision], params: CostParams) -> CostReport:
     """Total a sequence of per-frame decisions into a CostReport.
 
     Raises:
@@ -122,7 +150,9 @@ def aggregate(decisions: Sequence["FrameDecision"], params: CostParams) -> CostR
     if not decisions:
         raise ValueError("aggregate() needs at least one decision")
     per_frame = tuple(frame_cost(d, params) for d in decisions)
-    total = sum(per_frame)
+    # Folds left to right, not sum(): from Python 3.12 on, sum() of floats
+    # is compensated and can change the last bit of the totals.
+    total = reduce(add, per_frame, 0.0)
     baseline = params.flops_full * len(decisions)
     counts = {kind: 0 for kind in DecisionKind}
     for d in decisions:
@@ -131,7 +161,7 @@ def aggregate(decisions: Sequence["FrameDecision"], params: CostParams) -> CostR
     fractions = {kind.value: counts[kind] / n for kind in DecisionKind}
     reduction = 1.0 - total / baseline
     speedup = math.inf if reduction >= 1.0 else 1.0 / (1.0 - reduction)
-    overhead = sum(_frame_overhead(d, params) for d in decisions)
+    overhead = reduce(add, (_frame_overhead(d, params) for d in decisions), 0.0)
     overhead_share = overhead / total if total > 0 else 0.0
     return CostReport(
         per_frame=per_frame,

@@ -13,11 +13,12 @@ as matching class by class with `iou`.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .geometry import Rect
-from .pipeline import Detection
-from .simdet import GtObject
+from .pipeline import Detection, GtObject
 
 FrameKey = Hashable
 
@@ -121,10 +122,7 @@ def mean_average_precision(per_class: Mapping[int, Optional[float]]) -> float:
         raise ValueError("no class has ground truth; mAP is undefined")
     # A plain fold, not sum(): from Python 3.12 on, sum() of floats is
     # compensated and can change the last bit of the mean.
-    total = 0.0
-    for ap in defined:
-        total += ap
-    return total / len(defined)
+    return reduce(add, defined, 0.0) / len(defined)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ import os
 from contextlib import contextmanager, suppress
 from typing import Iterable, Mapping, Sequence
 
+from .costmodel import FrameDecision
 from .geometry import FrameSpec, Rect
 from .packing import PackPlan
-from .pipeline import Detection, FrameDecision
-from .simdet import GroundTruthFrame, GtObject
+from .pipeline import Detection, GroundTruthFrame, GtObject
 
 
 class AnnotationError(ValueError):

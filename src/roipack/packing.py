@@ -25,7 +25,7 @@ a fixed factor and rescaled into a fixed grid cell, which distorts aspect
 ratios and provides little context.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -115,16 +115,15 @@ class Layout:
 class PackPlan:
     """A complete packing decision for one frame.
 
-    `source` is the full-size frame the src crops live in; it is set on
-    plans produced by pack() and pack_naive() and may be None on the
-    intermediate plan returned by place_and_fit(). Greedy plans keep their
-    layout for later expansion; naive plans have none.
+    `source` is the full-size frame the src crops live in and `dest` the
+    reduced frame the dst placements live in. Greedy plans keep their
+    layout for expansion; naive plans have none.
     """
 
     slots: tuple[PackSlot, ...]
     dest: FrameSpec
     method: PackMethod
-    source: Optional[FrameSpec] = None
+    source: FrameSpec
     layout: Optional[Layout] = None
 
 
@@ -259,9 +258,12 @@ def _flush_slots(boxes: Sequence[Rect], layout: Layout, dest: FrameSpec) -> tupl
     return tuple(PackSlot(boxes[i], dst[i], 1.0, 1.0) for i in range(len(boxes)))
 
 
-def place_and_fit(boxes: Sequence[Rect], layout: Layout, dest: FrameSpec) -> Optional[PackPlan]:
-    """Place disjoint boxes at original size per the layout, or None if they
-    cannot fit in the destination frame."""
+def place_and_fit(
+    boxes: Sequence[Rect], layout: Layout, source: FrameSpec, dest: FrameSpec
+) -> Optional[PackPlan]:
+    """Place disjoint boxes of the source frame at original size per the
+    layout, or None if they cannot fit in the destination frame. The plan
+    is complete; expand_greedy() then grows its crops."""
     if len(boxes) != layout.slot_count:
         raise ValueError("box count does not match layout")
     if not _fits(boxes, layout, dest):
@@ -270,6 +272,7 @@ def place_and_fit(boxes: Sequence[Rect], layout: Layout, dest: FrameSpec) -> Opt
         slots=_flush_slots(boxes, layout, dest),
         dest=dest,
         method=PackMethod.GREEDY,
+        source=source,
         layout=layout,
     )
 
@@ -452,7 +455,7 @@ def _expand_axis(
             moved(i)
 
 
-def expand_greedy(plan: PackPlan, source: FrameSpec) -> PackPlan:
+def expand_greedy(plan: PackPlan) -> PackPlan:
     """Grow every slot's src (and dst, identically) to pull in context.
 
     Slots grow along the layout's primary axis first, then the other axis,
@@ -473,15 +476,9 @@ def expand_greedy(plan: PackPlan, source: FrameSpec) -> PackPlan:
     src = [[s.src.x_min, s.src.y_min, s.src.x_max, s.src.y_max] for s in plan.slots]
     first = 0 if layout.primary_axis is Axis.HORIZONTAL else 1
     for axis in (first, 1 - first):
-        _expand_axis(src, axis, layout, plan.dest.side, source.side)
+        _expand_axis(src, axis, layout, plan.dest.side, plan.source.side)
     boxes = [Rect(*b) for b in src]
-    return PackPlan(
-        slots=_flush_slots(boxes, layout, plan.dest),
-        dest=plan.dest,
-        method=PackMethod.GREEDY,
-        source=source,
-        layout=layout,
-    )
+    return replace(plan, slots=_flush_slots(boxes, layout, plan.dest))
 
 
 def pack(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Optional[PackPlan]:
@@ -497,10 +494,10 @@ def pack(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Optional[P
     if len(merged) > MAX_SLOTS:
         return None
     layout = choose_layout(merged)
-    placed = place_and_fit(merged, layout, dest)
+    placed = place_and_fit(merged, layout, source, dest)
     if placed is None:
         return None
-    return expand_greedy(placed, source)
+    return expand_greedy(placed)
 
 
 def _naive_cells(count: int, side: float) -> list[Rect]:

@@ -1,5 +1,8 @@
 """Frame scheduling: anchors, packed frames, fallbacks and skips.
 
+It also defines what every detector shares: the Detector protocol, the
+views it looks through, its detections and the annotated ground truth.
+
 Every anchor_interval-th frame is an anchor and runs the detector on the
 full-size frame. In between, the previous frame's confident detections
 become ROIs and are packed into the reduced frame; detections found there
@@ -12,7 +15,7 @@ until the next anchor).
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence, Union
 
-from .costmodel import CostParams, CostReport, DecisionKind, aggregate
+from .costmodel import CostParams, CostReport, FrameDecision, aggregate
 from .geometry import FrameSpec, Rect, intersection
 from .packing import PackPlan, pack
 
@@ -35,6 +38,26 @@ class Detection:
 
 
 @dataclass(frozen=True, slots=True)
+class GtObject:
+    """One annotated object."""
+
+    class_id: int
+    rect: Rect
+
+
+@dataclass(frozen=True, slots=True)
+class GroundTruthFrame:
+    """All annotated objects of one frame."""
+
+    frame_id: int
+    objects: tuple[GtObject, ...]
+
+    def __post_init__(self):
+        if self.frame_id < 0:
+            raise ValueError("frame_id must be nonnegative")
+
+
+@dataclass(frozen=True, slots=True)
 class PipelineConfig:
     """Knobs for the frame scheduler."""
 
@@ -50,34 +73,6 @@ class PipelineConfig:
             raise ValueError("tau must be in [0, 1]")
         if self.s2.side > self.s1.side:
             raise ValueError("reduced frame cannot be larger than the full frame")
-
-
-@dataclass(frozen=True, slots=True)
-class FrameDecision:
-    """Tagged processing decision; PACKED carries its plan."""
-
-    kind: DecisionKind
-    plan: Optional[PackPlan] = None
-
-    def __post_init__(self):
-        if (self.kind is DecisionKind.PACKED) != (self.plan is not None):
-            raise ValueError("exactly the PACKED decision carries a plan")
-
-    @classmethod
-    def anchor(cls) -> "FrameDecision":
-        return cls(DecisionKind.ANCHOR)
-
-    @classmethod
-    def packed(cls, plan: PackPlan) -> "FrameDecision":
-        return cls(DecisionKind.PACKED, plan)
-
-    @classmethod
-    def fallback_full(cls) -> "FrameDecision":
-        return cls(DecisionKind.FALLBACK_FULL)
-
-    @classmethod
-    def skipped(cls) -> "FrameDecision":
-        return cls(DecisionKind.SKIPPED)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,5 +1,8 @@
 """Ground-truth-driven detector stand-in and synthetic video generator.
 
+It implements the pipeline's Detector protocol over the pipeline's
+ground-truth types; no module but the CLI imports it.
+
 The detector is an oracle over ground truth with tunable degradation, so
 pipeline accuracy can be measured without a real model:
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from .geometry import FrameSpec, Rect, intersection, intersects
 from .packing import PackSlot
-from .pipeline import Detection, FullView, ReducedView, View
+from .pipeline import Detection, FullView, GroundTruthFrame, GtObject, View
 
 _STREAM_INIT = 0
 _STREAM_MOTION = 1
@@ -77,26 +80,6 @@ def _detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[float, ...]
     rng = _rng(seed, _STREAM_DETECT, frame_id, idx)
     z = tuple(rng.standard_normal(4).tolist())
     return z, rng.uniform()
-
-
-@dataclass(frozen=True, slots=True)
-class GtObject:
-    """One annotated object."""
-
-    class_id: int
-    rect: Rect
-
-
-@dataclass(frozen=True, slots=True)
-class GroundTruthFrame:
-    """All annotated objects of one frame."""
-
-    frame_id: int
-    objects: tuple[GtObject, ...]
-
-    def __post_init__(self):
-        if self.frame_id < 0:
-            raise ValueError("frame_id must be nonnegative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,8 +187,6 @@ def oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[D
         return out
 
     plan = view.plan
-    if plan.source is None:
-        raise ValueError("reduced view needs a plan with a source frame")
     dest_bounds = plan.dest.bounds
     margin_min, p_miss = noise.margin_miss
     for idx, obj in enumerate(gt.objects):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .formats import replacing
 from .geometry import FrameSpec, Rect, intersection, union_area
-from .simdet import GroundTruthFrame
+from .pipeline import GroundTruthFrame
 
 
 def occupancy_ratio(frame: GroundTruthFrame, frame_spec: FrameSpec) -> float:

@@ -39,11 +39,9 @@ from roipack.packing import (
     merge_overlaps,
     place_and_fit,
 )
-from roipack.pipeline import Detection, FullView, View
+from roipack.pipeline import Detection, FullView, GroundTruthFrame, GtObject, View
 from roipack.simdet import (
     _STREAM_DETECT,
-    GroundTruthFrame,
-    GtObject,
     NoiseModel,
     _context_margin,
     _covering_slot,
@@ -318,7 +316,7 @@ def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
     merged = merge_overlaps(rois)
     if len(merged) > MAX_SLOTS:
         return None
-    placed = place_and_fit(merged, choose_layout(merged), dest)
+    placed = place_and_fit(merged, choose_layout(merged), source, dest)
     if placed is None:
         return None
     return reference_expand_greedy(placed, source)

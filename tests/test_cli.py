@@ -1,11 +1,17 @@
 import gc
 import json
+import math
 
 import pytest
 
 from roipack import cli
 from roipack.cli import main
+from roipack.formats import read_annotations
+from roipack.geometry import FrameSpec
 from roipack.simdet import SimulatedDetector
+from roipack.stats import occupancy_ratio, temporal_region_iou
+
+FRAME = FrameSpec(300.0)
 
 OCC_HALF = '{"class": 0, "x0": 0.0, "y0": 0.0, "x1": 0.5, "y1": 0.5}'
 OCC_HALF2 = '{"class": 0, "x0": 0.5, "y0": 0.5, "x1": 1.0, "y1": 1.0}'
@@ -182,6 +188,33 @@ class TestRun:
         assert err.value.code == 2
 
 
+class TestNumberArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{ann}", "--pack-overhead", "nan"],
+            ["run", "{ann}", "--pack-overhead", "inf"],
+            ["run", "{ann}", "--skip-cost", "inf"],
+            ["gen", "--velocity-max", "inf"],
+        ],
+    )
+    def test_non_finite_value_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        ann = gen(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        argv = [arg.format(ann=ann) for arg in argv] + ["--out", str(tmp_path / "out.jsonl")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_unparsable_value_names_its_type(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "x.jsonl", "--seed", "seven", "--out", "y.jsonl"])
+        assert err.value.code == 2
+        assert "invalid int value: 'seven'" in capsys.readouterr().err
+
+
 class FailingDetector(SimulatedDetector):
     """Raises on the first frame of the third video it is built for, and
     notes whether the cyclic garbage collector was on at that moment."""
@@ -320,6 +353,27 @@ class TestStats:
         assert main(["stats", str(ann), "--out-dir", str(out_dir)]) == 0
         summary = json.loads((out_dir / "stats_summary.json").read_text())
         assert summary["mean_temporal_iou"] == 1.0
+
+    def test_means_fold_left_to_right(self, tmp_path):
+        # On this dataset both means differ in the last bit when summed
+        # compensated (math.fsum, and sum() from Python 3.12 on); the
+        # summary keeps the left-to-right fold.
+        ann = gen(tmp_path, videos="3", frames="5", seed="0")
+        out_dir = tmp_path / "stats"
+        assert main(["stats", str(ann), "--out-dir", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "stats_summary.json").read_text())
+        videos = read_annotations(str(ann), FRAME)
+        occupancies, overlaps = [], []
+        for name in sorted(videos):
+            frames = videos[name]
+            occupancies += [occupancy_ratio(f, FRAME) for f in frames]
+            overlaps += [temporal_region_iou(a, b, FRAME) for a, b in zip(frames, frames[1:])]
+        for key, values in (("mean_occupancy", occupancies), ("mean_temporal_iou", overlaps)):
+            total = 0.0
+            for value in values:
+                total += value
+            assert math.fsum(values) / len(values) != total / len(values)
+            assert summary[key] == total / len(values)
 
     def test_single_frame_dataset_has_no_pairs(self, tmp_path):
         ann = tmp_path / "one.jsonl"

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from roipack.costmodel import CostParams, DecisionKind, aggregate, frame_cost
+from roipack.costmodel import CostParams, DecisionKind, FrameDecision, aggregate, frame_cost
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import pack
-from roipack.pipeline import FrameDecision
+
+
+def left_fold(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
 
 DEFAULT = CostParams()
 NO_OVERHEAD = CostParams(pack_overhead=0.0)
@@ -139,6 +146,17 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([], DEFAULT)
+
+    def test_totals_fold_left_to_right(self):
+        # Ten frames of 0.2 (0.1 of it overhead) sum to 1.9999999999999998
+        # left to right but to 2.0 compensated (math.fsum, and sum() from
+        # Python 3.12 on); the reported figures keep the left fold.
+        params = CostParams(flops_full=1.0, flops_reduced=0.1, pack_overhead=0.1)
+        report = aggregate([PACKED] * 10, params)
+        assert report.per_frame == (0.2,) * 10
+        assert math.fsum(report.per_frame) != left_fold(report.per_frame)
+        assert report.total == left_fold(report.per_frame)
+        assert report.overhead_share == left_fold([0.1] * 10) / report.total
 
     def test_json_dict_fields(self):
         report = aggregate(steady_cycle(1), NO_OVERHEAD)

@@ -4,8 +4,8 @@ import pytest
 from oracles import reference_ap, reference_average_precision, reference_evaluate_detections
 from roipack.evaluation import average_precision, evaluate_detections, mean_average_precision
 from roipack.geometry import Rect
-from roipack.pipeline import Detection, PipelineConfig, run_video
-from roipack.simdet import GtObject, NoiseModel, SimulatedDetector, SyntheticParams, gen_synthetic
+from roipack.pipeline import Detection, GtObject, PipelineConfig, run_video
+from roipack.simdet import NoiseModel, SimulatedDetector, SyntheticParams, gen_synthetic
 
 GT_A = Rect(10, 10, 50, 50)
 GT_B = Rect(100, 100, 160, 160)

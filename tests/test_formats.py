@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from roipack.costmodel import FrameDecision
 from roipack.formats import (
     AnnotationError,
     detection_entry,
@@ -14,8 +15,7 @@ from roipack.formats import (
 )
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import pack
-from roipack.pipeline import Detection, FrameDecision
-from roipack.simdet import GroundTruthFrame, GtObject
+from roipack.pipeline import Detection, GroundTruthFrame, GtObject
 
 FRAME = FrameSpec(300.0)
 

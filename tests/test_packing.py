@@ -138,38 +138,45 @@ class TestChooseLayout:
 class TestPlaceAndFit:
     def test_single_box_flush_at_origin(self):
         box = Rect(100, 120, 180, 180)
-        plan = place_and_fit([box], choose_layout([box]), DST)
+        plan = place_and_fit([box], choose_layout([box]), SRC, DST)
         assert plan is not None
         (slot,) = plan.slots
         assert slot.src == Rect(100, 120, 180, 180)
         assert slot.dst == Rect(0, 0, 80, 60)
         assert slot.scale_x == 1.0 and slot.scale_y == 1.0
 
+    def test_plan_keeps_the_given_source_frame(self):
+        box = Rect(100, 120, 180, 180)
+        source = FrameSpec(400.0)
+        plan = place_and_fit([box], choose_layout([box]), source, DST)
+        assert plan is not None
+        assert plan.source is source
+
     def test_single_box_too_wide(self):
         box = Rect(0, 0, 200, 90)
-        assert place_and_fit([box], choose_layout([box]), DST) is None
+        assert place_and_fit([box], choose_layout([box]), SRC, DST) is None
 
     def test_pair_exceeding_width_budget(self):
         boxes = [Rect(0, 0, 100, 140), Rect(120, 0, 180, 130)]
-        assert place_and_fit(boxes, choose_layout(boxes), DST) is None
+        assert place_and_fit(boxes, choose_layout(boxes), SRC, DST) is None
 
     def test_pair_within_budget(self):
         boxes = [Rect(0, 0, 100, 140), Rect(120, 0, 170, 130)]
-        plan = place_and_fit(boxes, choose_layout(boxes), DST)
+        plan = place_and_fit(boxes, choose_layout(boxes), SRC, DST)
         assert plan is not None
         assert plan.slots[0].dst == Rect(0, 0, 100, 140)
         assert plan.slots[1].dst == Rect(100, 0, 150, 130)
 
     def test_rows_stack_downward(self):
         boxes = [Rect(0, 0, 120, 40), Rect(150, 200, 260, 240)]
-        plan = place_and_fit(boxes, choose_layout(boxes), DST)
+        plan = place_and_fit(boxes, choose_layout(boxes), SRC, DST)
         assert plan is not None
         assert plan.slots[0].dst == Rect(0, 0, 120, 40)
         assert plan.slots[1].dst == Rect(0, 40, 110, 80)
 
     def test_three_boxes_second_column_stacks(self):
         boxes = [Rect(0, 0, 80, 150), Rect(100, 0, 160, 70), Rect(200, 0, 265, 75)]
-        plan = place_and_fit(boxes, choose_layout(boxes), DST)
+        plan = place_and_fit(boxes, choose_layout(boxes), SRC, DST)
         assert plan is not None
         assert plan.slots[0].dst == Rect(0, 0, 80, 150)
         assert plan.slots[2].dst == Rect(80, 0, 145, 75)
@@ -179,7 +186,7 @@ class TestPlaceAndFit:
         # Column widths fit (80 + 70 <= 150) but the second column stacks
         # 90 + 80 = 170 > 150.
         boxes = [Rect(0, 0, 80, 150), Rect(100, 0, 170, 90), Rect(200, 100, 265, 180)]
-        assert place_and_fit(boxes, choose_layout(boxes), DST) is None
+        assert place_and_fit(boxes, choose_layout(boxes), SRC, DST) is None
 
 
 class TestExpandGreedy:
@@ -213,10 +220,10 @@ class TestExpandGreedy:
             if len(merged) > MAX_SLOTS:
                 continue
             layout = choose_layout(merged)
-            placed = place_and_fit(merged, layout, DST)
+            placed = place_and_fit(merged, layout, SRC, DST)
             if placed is None:
                 continue
-            grown = expand_greedy(placed, SRC)
+            grown = expand_greedy(placed)
             for before, after in zip(placed.slots, grown.slots):
                 assert after.src.contains(before.src)
                 assert after.src.area >= before.src.area

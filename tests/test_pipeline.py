@@ -1,11 +1,10 @@
 import pytest
 
-from roipack.costmodel import CostParams, DecisionKind
+from roipack.costmodel import CostParams, DecisionKind, FrameDecision
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import pack
 from roipack.pipeline import (
     Detection,
-    FrameDecision,
     FullView,
     PipelineConfig,
     ReducedView,

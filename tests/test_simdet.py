@@ -6,10 +6,8 @@ from oracles import reference_oracle_detect
 
 from roipack.geometry import FrameSpec, Rect, union_area
 from roipack.packing import PackMethod, PackPlan, PackSlot, pack, pack_naive
-from roipack.pipeline import FullView, ReducedView
+from roipack.pipeline import FullView, GroundTruthFrame, GtObject, ReducedView
 from roipack.simdet import (
-    GroundTruthFrame,
-    GtObject,
     NoiseModel,
     SimulatedDetector,
     SyntheticParams,
@@ -141,9 +139,8 @@ class TestReducedView:
     def test_plan_without_source_rejected(self):
         slot = PackSlot(src=Rect(0, 0, 100, 100), dst=Rect(0, 0, 100, 100),
                         scale_x=1.0, scale_y=1.0)
-        plan = PackPlan(slots=(slot,), dest=FrameSpec(150.0), method=PackMethod.GREEDY)
-        with pytest.raises(ValueError):
-            oracle_detect(ReducedView(plan), gt_frame(0, [Rect(10, 10, 20, 20)]), OFF)
+        with pytest.raises(TypeError):
+            PackPlan(slots=(slot,), dest=FrameSpec(150.0), method=PackMethod.GREEDY)
 
 
 class TestMarginMiss:

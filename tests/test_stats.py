@@ -5,7 +5,7 @@ import pytest
 
 from oracles import raster_region_iou
 from roipack.geometry import FrameSpec, Rect
-from roipack.simdet import GroundTruthFrame, GtObject
+from roipack.pipeline import GroundTruthFrame, GtObject
 from roipack.stats import Histogram, histogram, occupancy_ratio, temporal_region_iou, write_histogram_csv
 
 FRAME = FrameSpec(300.0)
