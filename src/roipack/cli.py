@@ -30,7 +30,7 @@ from .formats import (
     write_jsonl,
 )
 from .geometry import FrameSpec
-from .packing import pack, pack_naive
+from .packing import MAX_FRAME_SIDE, pack, pack_naive
 from .pipeline import PipelineConfig, run_video
 from .simdet import NoiseModel, SimulatedDetector, SyntheticParams, gen_synthetic
 from .stats import histogram, occupancy_ratio, temporal_region_iou, write_histogram_csv
@@ -56,6 +56,7 @@ _nonnegative_float = _number(float, lambda v: v >= 0, "finite and >= 0")
 _positive_float = _number(float, lambda v: v > 0, "finite and > 0")
 _fraction = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _unit_interval = _number(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_frame_side = _number(float, lambda v: 0 < v <= MAX_FRAME_SIDE, f"in (0, {MAX_FRAME_SIDE:g}]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("annotations")
     run.add_argument("--anchor-interval", type=_positive_int, default=5)
     run.add_argument("--tau", type=_unit_interval, default=0.2)
-    run.add_argument("--full-size", type=_positive_float, default=300.0)
-    run.add_argument("--reduced-size", type=_positive_float, default=150.0)
+    run.add_argument("--full-size", type=_frame_side, default=300.0)
+    run.add_argument("--reduced-size", type=_frame_side, default=150.0)
     run.add_argument("--mode", choices=("pad", "naive", "baseline"), default="pad")
     run.add_argument("--pack-overhead", type=_nonnegative_float, default=0.02)
     run.add_argument("--skip-cost", type=_nonnegative_float, default=0.0)

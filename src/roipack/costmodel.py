@@ -69,6 +69,9 @@ class CostParams:
     skip_cost: float = 0.0
 
     def __post_init__(self):
+        costs = (self.flops_full, self.flops_reduced, self.pack_overhead, self.skip_cost)
+        if not all(math.isfinite(c) for c in costs):
+            raise ValueError(f"costs must be finite, got {costs}")
         if self.flops_full <= 0 or self.flops_reduced <= 0:
             raise ValueError("frame costs must be positive")
         if self.flops_reduced > self.flops_full:

@@ -8,17 +8,20 @@ smaller destination frame:
      the intersection graph) until the boxes are pairwise disjoint;
   2. a two-column or two-row layout is chosen from the largest box
      dimension, and the boxes are placed flush at their original size;
-  3. if they fit, every patch is grown in place, primary axis first, so the
-     crops carry as much surrounding context as the destination allows.
+  3. if they fit, every patch is grown in place, along the axis the groups
+     are laid out on first, so the crops carry as much surrounding context
+     as the destination allows.
 
 Growth is defined in rounds of at most one pixel unit per slot, split
 symmetrically between both sides; growth clipped at a source frame boundary
 spills to the opposite side. A slot stops growing along an axis when the
 shared destination capacity is used up, when it would run into another
 slot's source patch, or when it already spans the whole source frame. Runs
-of quiet rounds, in which every growing slot just takes its full unit, are
-applied in bulk rather than one round at a time; the plans are bit-identical
-to stepping every round.
+of quiet rounds, in which every growing slot just takes its full unit, skip
+the per-round checks against those limits. Each skipped round's float
+operations still run once per slot, which keeps the plans bit-identical to
+stepping every round, so expansion time grows with the pixels grown; that is
+why the command line caps frame sides at MAX_FRAME_SIDE.
 
 A naive baseline packer is included for comparison: each ROI is expanded by
 a fixed factor and rescaled into a fixed grid cell, which distorts aspect
@@ -36,13 +39,12 @@ MAX_SLOTS = 4
 # Per-round growth quantum for greedy expansion, in pixel units.
 GROWTH_STEP = 1.0
 
+# Largest frame side the command line accepts: expansion steps through every
+# round of growth, so its time is linear in the side.
+MAX_FRAME_SIDE = 65536.0
+
 _EPS = 1e-9
 _NAIVE_EXPAND = 1.2
-
-
-class Axis(Enum):
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
 
 
 class PackMethod(str, Enum):
@@ -89,26 +91,25 @@ class PackSlot:
 
 @dataclass(frozen=True, slots=True)
 class Layout:
-    """Grid assignment for up to four disjoint boxes.
+    """Grid arrangement for up to four disjoint boxes.
 
-    `assignment[i]` is the (group, position) cell of box i. With a
-    HORIZONTAL primary axis the groups are columns laid out left to right
-    and positions stack top to bottom inside a column; with a VERTICAL
-    primary axis the groups are rows laid out top to bottom and positions
-    run left to right inside a row.
+    `groups[g]` lists group g's box indices in stacking order. With `axis`
+    0 the groups are columns laid out left to right along x, their members
+    stacked top to bottom; with `axis` 1 they are rows laid out top to
+    bottom, their members running left to right.
     """
 
-    slot_count: int
-    primary_axis: Axis
-    assignment: tuple[tuple[int, int], ...]
+    axis: int
+    groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not 1 <= self.slot_count <= MAX_SLOTS:
-            raise ValueError(f"slot_count must be 1..{MAX_SLOTS}")
-        if len(self.assignment) != self.slot_count:
-            raise ValueError("assignment length must equal slot_count")
-        if len(set(self.assignment)) != self.slot_count:
-            raise ValueError("assignment cells must be distinct")
+        if self.axis not in (0, 1):
+            raise ValueError(f"axis must be 0 (columns) or 1 (rows), got {self.axis!r}")
+        members = sorted(i for group in self.groups for i in group)
+        if not 1 <= len(members) <= MAX_SLOTS:
+            raise ValueError(f"a layout holds 1..{MAX_SLOTS} boxes, got {len(members)}")
+        if not all(self.groups) or members != list(range(len(members))):
+            raise ValueError("groups must partition the box indices 0..n-1")
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,13 @@ class PackPlan:
     """A complete packing decision for one frame.
 
     `source` is the full-size frame the src crops live in and `dest` the
-    reduced frame the dst placements live in. Greedy plans keep their
-    layout for expansion; naive plans have none.
+    reduced frame the dst placements live in.
     """
 
     slots: tuple[PackSlot, ...]
     dest: FrameSpec
     method: PackMethod
     source: FrameSpec
-    layout: Optional[Layout] = None
 
 
 class _UnionFind:
@@ -177,104 +176,67 @@ def merge_overlaps(rects: Sequence[Rect]) -> list[Rect]:
         boxes = [enclosing([boxes[i] for i in comp]) for comp in comps]
 
 
+# Box count -> the size ranks in each group; ranks 2 and 3 stack under 0 and 1.
+_GROUPS_BY_COUNT = {1: ((0,),), 2: ((0,), (1,)), 3: ((0,), (1, 2)), 4: ((0, 2), (1, 3))}
+
+
+def _size(box: Rect, axis: int) -> float:
+    return box.width if axis == 0 else box.height
+
+
 def choose_layout(boxes: Sequence[Rect]) -> Layout:
     """Pick the grid arrangement for 1..4 pairwise disjoint boxes.
 
     If the single largest dimension over all boxes is a height, the boxes
-    are tall: they go side by side in columns (HORIZONTAL primary axis, to
-    be grown horizontally first). Otherwise the arrangement is the exact
-    mirror, rows stacked top to bottom. The tallest (respectively widest)
+    are tall: they go side by side in columns (axis 0, to be grown
+    horizontally first). Otherwise the arrangement is the exact mirror,
+    rows stacked top to bottom (axis 1). The tallest (respectively widest)
     box gets its own group when there are three boxes; with four, groups
     pair ranks (1st, 3rd) and (2nd, 4th). Rank ties break by box index.
     """
     n = len(boxes)
     if not 1 <= n <= MAX_SLOTS:
         raise ValueError(f"choose_layout() takes 1..{MAX_SLOTS} boxes, got {n}")
-    tallest = max(b.height for b in boxes)
-    widest = max(b.width for b in boxes)
-    axis = Axis.HORIZONTAL if tallest >= widest else Axis.VERTICAL
-    if axis is Axis.HORIZONTAL:
-        order = sorted(range(n), key=lambda i: (-boxes[i].height, i))
-    else:
-        order = sorted(range(n), key=lambda i: (-boxes[i].width, i))
-    cells_by_count = {
-        1: ((0, 0),),
-        2: ((0, 0), (1, 0)),
-        3: ((0, 0), (1, 0), (1, 1)),
-        4: ((0, 0), (1, 0), (0, 1), (1, 1)),
-    }
-    assignment: list[tuple[int, int]] = [(0, 0)] * n
-    for rank, box_idx in enumerate(order):
-        assignment[box_idx] = cells_by_count[n][rank]
-    return Layout(slot_count=n, primary_axis=axis, assignment=tuple(assignment))
+    axis = 0 if max(b.height for b in boxes) >= max(b.width for b in boxes) else 1
+    order = sorted(range(n), key=lambda i: (-_size(boxes[i], 1 - axis), i))
+    groups = tuple(tuple(order[r] for r in ranks) for ranks in _GROUPS_BY_COUNT[n])
+    return Layout(axis=axis, groups=groups)
 
 
-def _group_members(layout: Layout) -> dict[int, list[int]]:
-    """Group index -> member box indices ordered by position in the group."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for idx, (group, pos) in enumerate(layout.assignment):
-        groups.setdefault(group, []).append((pos, idx))
-    return {g: [i for _, i in sorted(members)] for g, members in sorted(groups.items())}
+def _flush_slots(boxes: Sequence[Rect], layout: Layout) -> tuple[tuple[PackSlot, ...], float]:
+    """Place boxes flush against each other per the layout, at scale 1.
 
-
-def _extent(box: Rect, layout: Layout) -> float:
-    # Size along the axis groups are laid out on (column width / row height).
-    return box.width if layout.primary_axis is Axis.HORIZONTAL else box.height
-
-
-def _stack_size(box: Rect, layout: Layout) -> float:
-    # Size along the axis members stack on inside a group.
-    return box.height if layout.primary_axis is Axis.HORIZONTAL else box.width
-
-
-def _fits(boxes: Sequence[Rect], layout: Layout, dest: FrameSpec) -> bool:
-    groups = _group_members(layout)
-    group_extents = [max(_extent(boxes[i], layout) for i in members) for members in groups.values()]
-    if sum(group_extents) > dest.side:
-        return False
-    for members in groups.values():
-        if sum(_stack_size(boxes[i], layout) for i in members) > dest.side:
-            return False
-    return True
-
-
-def _flush_slots(boxes: Sequence[Rect], layout: Layout, dest: FrameSpec) -> tuple[PackSlot, ...]:
-    """Place boxes flush against each other per the layout, at scale 1."""
-    groups = _group_members(layout)
-    horizontal = layout.primary_axis is Axis.HORIZONTAL
+    Returns the slots and the side of the smallest square, anchored at the
+    destination origin, that holds them all.
+    """
+    axis = layout.axis
     dst: dict[int, Rect] = {}
-    group_off = 0.0
-    for members in groups.values():
-        extent = max(_extent(boxes[i], layout) for i in members)
+    group_off = longest_stack = 0.0
+    for members in layout.groups:
         member_off = 0.0
         for i in members:
             b = boxes[i]
-            if horizontal:
-                dst[i] = Rect(group_off, member_off, group_off + b.width, member_off + b.height)
-            else:
-                dst[i] = Rect(member_off, group_off, member_off + b.width, group_off + b.height)
-            member_off += _stack_size(b, layout)
-        group_off += extent
-    return tuple(PackSlot(boxes[i], dst[i], 1.0, 1.0) for i in range(len(boxes)))
+            x, y = (group_off, member_off) if axis == 0 else (member_off, group_off)
+            dst[i] = Rect(x, y, x + b.width, y + b.height)
+            member_off += _size(b, 1 - axis)
+        group_off += max(_size(boxes[i], axis) for i in members)
+        longest_stack = max(longest_stack, member_off)
+    slots = tuple(PackSlot(b, dst[i], 1.0, 1.0) for i, b in enumerate(boxes))
+    return slots, max(group_off, longest_stack)
 
 
 def place_and_fit(
     boxes: Sequence[Rect], layout: Layout, source: FrameSpec, dest: FrameSpec
 ) -> Optional[PackPlan]:
-    """Place disjoint boxes of the source frame at original size per the
-    layout, or None if they cannot fit in the destination frame. The plan
-    is complete; expand_greedy() then grows its crops."""
-    if len(boxes) != layout.slot_count:
+    """Place disjoint boxes of the source frame flush at original size per
+    the layout, or None if they cannot fit in the destination frame. The
+    plan is complete; expand_greedy() then grows its crops by the layout."""
+    if len(boxes) != sum(len(members) for members in layout.groups):
         raise ValueError("box count does not match layout")
-    if not _fits(boxes, layout, dest):
+    slots, side = _flush_slots(boxes, layout)
+    if side > dest.side:
         return None
-    return PackPlan(
-        slots=_flush_slots(boxes, layout, dest),
-        dest=dest,
-        method=PackMethod.GREEDY,
-        source=source,
-        layout=layout,
-    )
+    return PackPlan(slots=slots, dest=dest, method=PackMethod.GREEDY, source=source)
 
 
 def _grow_interval(
@@ -305,15 +267,15 @@ def _expand_axis(
     """Grow all slots along one axis in simultaneous rounds until frozen.
 
     A round is quiet when every active slot takes a full GROWTH_STEP without
-    meeting the capacity limit, a frame edge or another slot. Runs of quiet
-    rounds are applied in bulk, with the float operations of one round
-    repeated per round, so the result is bit-identical to stepping every
+    meeting the capacity limit, a frame edge or another slot. A run of quiet
+    rounds skips the bound checks, but each round's float operations still
+    run once per slot, so the result is bit-identical to stepping every
     round.
     """
     n = len(src)
-    groups = list(_group_members(layout).values())
+    groups = layout.groups
     group_of = {i: g for g, members in enumerate(groups) for i in members}
-    on_extent = axis == (0 if layout.primary_axis is Axis.HORIZONTAL else 1)
+    on_extent = axis == layout.axis
 
     # Extent axis: the sum of group extents is capped, but a slot below its
     # group's current extent grows free up to it. Stacking axis: members of
@@ -455,30 +417,28 @@ def _expand_axis(
             moved(i)
 
 
-def expand_greedy(plan: PackPlan) -> PackPlan:
+def expand_greedy(plan: PackPlan, layout: Layout) -> PackPlan:
     """Grow every slot's src (and dst, identically) to pull in context.
 
-    Slots grow along the layout's primary axis first, then the other axis,
-    in rounds of at most GROWTH_STEP per slot, iterated in slot index
-    order. Growth is symmetric about the patch center and spills past a
-    source frame boundary to the opposite side. A slot freezes in an axis
-    when the shared destination capacity is exhausted, when growing would
-    run its src into another slot's src, or when it spans the full source
-    frame. Destination placement is recomputed flush afterwards.
+    `layout` is the one place_and_fit() placed the plan with. Slots grow
+    along the layout's axis first, then the other axis, in rounds of at
+    most GROWTH_STEP per slot, iterated in slot index order. Growth is
+    symmetric about the patch center and spills past a source frame
+    boundary to the opposite side. A slot freezes in an axis when the
+    shared destination capacity is exhausted, when growing would run its
+    src into another slot's src, or when it spans the full source frame.
+    Destination placement is recomputed flush afterwards.
 
-    Rounds stay the semantics, but runs of rounds in which no slot meets
-    any of those limits or a frame edge are skipped in bulk, so the cost
-    grows with the number of such events rather than with the pixels grown.
+    Quiet runs of rounds skip only the bound checks: each round's float
+    operations still run once per slot, so plans stay bit-identical and the
+    cost grows with the pixels grown (hence MAX_FRAME_SIDE).
     """
-    layout = plan.layout
-    if layout is None:
-        raise ValueError("expand_greedy() needs a plan with a layout")
     src = [[s.src.x_min, s.src.y_min, s.src.x_max, s.src.y_max] for s in plan.slots]
-    first = 0 if layout.primary_axis is Axis.HORIZONTAL else 1
-    for axis in (first, 1 - first):
+    for axis in (layout.axis, 1 - layout.axis):
         _expand_axis(src, axis, layout, plan.dest.side, plan.source.side)
-    boxes = [Rect(*b) for b in src]
-    return replace(plan, slots=_flush_slots(boxes, layout, plan.dest))
+    # Rounding may leave a dst ~1e-9 past the frame; that still fits.
+    slots, _ = _flush_slots([Rect(*b) for b in src], layout)
+    return replace(plan, slots=slots)
 
 
 def pack(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Optional[PackPlan]:
@@ -497,7 +457,7 @@ def pack(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Optional[P
     placed = place_and_fit(merged, layout, source, dest)
     if placed is None:
         return None
-    return expand_greedy(placed)
+    return expand_greedy(placed, layout)
 
 
 def _naive_cells(count: int, side: float) -> list[Rect]:

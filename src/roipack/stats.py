@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .formats import replacing
-from .geometry import FrameSpec, Rect, intersection, union_area
+from .geometry import FrameSpec, intersection, union_area
 from .pipeline import GroundTruthFrame
 
 

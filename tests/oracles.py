@@ -29,12 +29,10 @@ from roipack.geometry import FrameSpec, Rect, intersection, iou
 from roipack.packing import (
     GROWTH_STEP,
     MAX_SLOTS,
-    Axis,
     Layout,
     PackMethod,
     PackPlan,
     _flush_slots,
-    _group_members,
     choose_layout,
     merge_overlaps,
     place_and_fit,
@@ -243,9 +241,9 @@ def _expand_axis(
     src: list[list[float]], axis: int, layout: Layout, dest_side: float, src_side: float
 ):
     """Grow all slots along one axis in simultaneous rounds until frozen."""
-    groups = list(_group_members(layout).values())
+    groups = layout.groups
     group_of = {i: g for g, members in enumerate(groups) for i in members}
-    extent_axis = 0 if layout.primary_axis is Axis.HORIZONTAL else 1
+    extent_axis = layout.axis
 
     def size(j: int) -> float:
         return src[j][axis + 2] - src[j][axis]
@@ -293,20 +291,13 @@ def _expand_axis(
             src[i][axis], src[i][axis + 2] = grown
 
 
-def reference_expand_greedy(plan: PackPlan, source: FrameSpec) -> PackPlan:
+def reference_expand_greedy(plan: PackPlan, layout: Layout) -> PackPlan:
     """expand_greedy stepped one unit round at a time, every round."""
-    layout = plan.layout
     src = [[s.src.x_min, s.src.y_min, s.src.x_max, s.src.y_max] for s in plan.slots]
-    first = 0 if layout.primary_axis is Axis.HORIZONTAL else 1
-    for axis in (first, 1 - first):
-        _expand_axis(src, axis, layout, plan.dest.side, source.side)
-    return PackPlan(
-        slots=_flush_slots([Rect(*b) for b in src], layout, plan.dest),
-        dest=plan.dest,
-        method=PackMethod.GREEDY,
-        source=source,
-        layout=layout,
-    )
+    for axis in (layout.axis, 1 - layout.axis):
+        _expand_axis(src, axis, layout, plan.dest.side, plan.source.side)
+    slots, _ = _flush_slots([Rect(*b) for b in src], layout)
+    return PackPlan(slots=slots, dest=plan.dest, method=PackMethod.GREEDY, source=plan.source)
 
 
 def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
@@ -316,10 +307,11 @@ def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
     merged = merge_overlaps(rois)
     if len(merged) > MAX_SLOTS:
         return None
-    placed = place_and_fit(merged, choose_layout(merged), source, dest)
+    layout = choose_layout(merged)
+    placed = place_and_fit(merged, layout, source, dest)
     if placed is None:
         return None
-    return reference_expand_greedy(placed, source)
+    return reference_expand_greedy(placed, layout)
 
 
 def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[Detection]:

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from roipack import cli
 from roipack.cli import main
 from roipack.formats import read_annotations
 from roipack.geometry import FrameSpec
+from roipack.packing import MAX_FRAME_SIDE
 from roipack.simdet import SimulatedDetector
 from roipack.stats import occupancy_ratio, temporal_region_iou
 
@@ -207,6 +209,29 @@ class TestNumberArguments:
         assert err.value.code == 2
         assert "must be finite" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flag, value", [("--full-size", "1e9"), ("--reduced-size", "65536.5")])
+    def test_frame_side_above_the_cap_exits_2_at_once(self, tmp_path, capsys, flag, value):
+        # Expansion time is linear in the frame side, so an uncapped 1e9 px
+        # frame would keep the run busy far longer than this bound.
+        ann = gen(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            main(["run", str(ann), flag, value, "--out", str(tmp_path / "out.jsonl")])
+        assert err.value.code == 2
+        assert time.perf_counter() - start < 10.0
+        assert "must be in (0, 65536]" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_frame_side_at_the_cap_is_accepted(self, tmp_path):
+        ann = gen(tmp_path)
+        out = tmp_path / "out.jsonl"
+        cap = str(MAX_FRAME_SIDE)
+        argv = ["run", str(ann), "--full-size", cap, "--reduced-size", cap, "--out", str(out)]
+        assert main(argv) == 0
+        config = json.loads((tmp_path / "out.summary.json").read_text())["config"]
+        assert config["full_size"] == config["reduced_size"] == MAX_FRAME_SIDE == 65536.0
 
     def test_unparsable_value_names_its_type(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

@@ -45,6 +45,10 @@ class TestCostParams:
             {"flops_reduced": 100000.0},  # larger than full
             {"pack_overhead": -0.01},
             {"skip_cost": -1.0},
+            {"flops_full": math.inf},
+            {"flops_reduced": math.nan},
+            {"pack_overhead": math.inf},
+            {"skip_cost": math.inf},
         ],
     )
     def test_validation(self, kwargs):

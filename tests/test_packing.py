@@ -7,7 +7,6 @@ from oracles import brute_components, reference_pack
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import (
     MAX_SLOTS,
-    Axis,
     Layout,
     PackMethod,
     PackPlan,
@@ -92,21 +91,21 @@ class TestConnectedComponents:
 class TestChooseLayout:
     def test_single_box(self):
         layout = choose_layout([Rect(0, 0, 40, 90)])
-        assert layout.slot_count == 1
-        assert layout.assignment == ((0, 0),)
+        assert layout.axis == 0
+        assert layout.groups == ((0,),)
 
     def test_tall_boxes_go_to_columns(self):
         layout = choose_layout([Rect(0, 0, 30, 100), Rect(50, 0, 80, 90)])
-        assert layout.primary_axis is Axis.HORIZONTAL
-        assert layout.assignment == ((0, 0), (1, 0))
+        assert layout.axis == 0
+        assert layout.groups == ((0,), (1,))
 
     def test_wide_boxes_go_to_rows(self):
         layout = choose_layout([Rect(0, 0, 120, 40), Rect(150, 200, 260, 240)])
-        assert layout.primary_axis is Axis.VERTICAL
-        assert layout.assignment == ((0, 0), (1, 0))
+        assert layout.axis == 1
+        assert layout.groups == ((0,), (1,))
 
     def test_square_tie_prefers_columns(self):
-        assert choose_layout([Rect(0, 0, 50, 50)]).primary_axis is Axis.HORIZONTAL
+        assert choose_layout([Rect(0, 0, 50, 50)]).axis == 0
 
     def test_four_boxes_pair_tall_with_short(self):
         # Heights 60, 100, 40, 80 (widths all 30): the tallest and the
@@ -118,12 +117,18 @@ class TestChooseLayout:
             Rect(120, 0, 150, 80),
         ]
         layout = choose_layout(boxes)
-        assert layout.primary_axis is Axis.HORIZONTAL
-        assert layout.assignment == ((0, 1), (0, 0), (1, 1), (1, 0))
+        assert layout.axis == 0
+        assert layout.groups == ((1, 0), (3, 2))
+
+    def test_three_boxes_tallest_alone(self):
+        # Heights 70, 150, 75: the tallest gets the first column, the other
+        # two stack in the second, taller first.
+        boxes = [Rect(100, 0, 160, 70), Rect(0, 0, 80, 150), Rect(200, 0, 265, 75)]
+        assert choose_layout(boxes).groups == ((1,), (2, 0))
 
     def test_rank_ties_broken_by_index(self):
         layout = choose_layout([Rect(0, 0, 30, 100), Rect(50, 0, 80, 100)])
-        assert layout.assignment == ((0, 0), (1, 0))
+        assert layout.groups == ((0,), (1,))
 
     @pytest.mark.parametrize("count", [0, MAX_SLOTS + 1])
     def test_box_count_out_of_range(self, count):
@@ -131,8 +136,23 @@ class TestChooseLayout:
             choose_layout([Rect(0, 0, 1, 1)] * count if count else [])
 
     def test_layout_validation(self):
-        with pytest.raises(ValueError):
-            Layout(slot_count=2, primary_axis=Axis.HORIZONTAL, assignment=((0, 0),))
+        bad = [
+            (2, ((0,), (1,))),  # axis outside {0, 1}
+            (-1, ((0,),)),
+            (0, ((0,), (0,))),  # an index twice
+            (0, ((0,), (2,))),  # a gap in the indices
+            (1, ((1,), (2,))),  # no index 0
+            (0, ((0,), ())),  # an empty group
+            (0, ()),  # no members
+            (1, ((),)),
+            (0, ((0, 2, 4), (1, 3))),  # five members
+        ]
+        for axis, groups in bad:
+            with pytest.raises(ValueError):
+                Layout(axis=axis, groups=groups)
+
+    def test_layout_accepts_any_partition(self):
+        assert Layout(axis=1, groups=((3, 1), (0,), (2,))).groups == ((3, 1), (0,), (2,))
 
 
 class TestPlaceAndFit:
@@ -188,6 +208,31 @@ class TestPlaceAndFit:
         boxes = [Rect(0, 0, 80, 150), Rect(100, 0, 170, 90), Rect(200, 100, 265, 180)]
         assert place_and_fit(boxes, choose_layout(boxes), SRC, DST) is None
 
+    @pytest.mark.parametrize("flip", [False, True], ids=["columns", "rows"])
+    def test_stack_exactly_the_destination_side_fits(self, flip):
+        # The second group stacks 90 + 60 = 150, the destination side; one
+        # more pixel does not fit. Transposed, the groups are rows.
+        orient = transposed if flip else (lambda r: r)
+
+        def placed(boxes):
+            boxes = [orient(b) for b in boxes]
+            return place_and_fit(boxes, choose_layout(boxes), SRC, DST)
+
+        pair = [Rect(0, 0, 60, 100), Rect(100, 0, 160, 90)]
+        plan = placed(pair + [Rect(200, 100, 260, 160)])
+        assert plan is not None
+        assert [s.dst for s in plan.slots] == [
+            orient(Rect(0, 0, 60, 100)),
+            orient(Rect(60, 0, 120, 90)),
+            orient(Rect(60, 90, 120, 150)),
+        ]
+        assert placed(pair + [Rect(200, 100, 260, 161)]) is None
+
+    def test_box_count_must_match_layout(self):
+        boxes = [Rect(0, 0, 30, 100), Rect(50, 0, 80, 90)]
+        with pytest.raises(ValueError):
+            place_and_fit(boxes[:1], choose_layout(boxes), SRC, DST)
+
 
 class TestExpandGreedy:
     def test_centered_box_grows_symmetrically(self):
@@ -223,7 +268,7 @@ class TestExpandGreedy:
             placed = place_and_fit(merged, layout, SRC, DST)
             if placed is None:
                 continue
-            grown = expand_greedy(placed)
+            grown = expand_greedy(placed, layout)
             for before, after in zip(placed.slots, grown.slots):
                 assert after.src.contains(before.src)
                 assert after.src.area >= before.src.area
@@ -358,7 +403,8 @@ def test_mirroring_rois_mirrors_each_src_and_keeps_each_dst(rois):
     flipped = pack([mirrored(r) for r in rois], SRC, DST)
     assert (plan is None) == (flipped is None)
     if plan is not None:
-        assert flipped.layout == plan.layout
+        flipped_layout = choose_layout(merge_overlaps([mirrored(r) for r in rois]))
+        assert flipped_layout == choose_layout(merge_overlaps(rois))
         assert len(flipped.slots) == len(plan.slots)
         for s, f in zip(plan.slots, flipped.slots):
             assert close(f.dst, s.dst)
@@ -399,7 +445,7 @@ class TestPack:
         assert plan is not None
         assert plan.source == SRC
         assert plan.dest == DST
-        assert plan.layout is not None
+        assert plan.method is PackMethod.GREEDY
 
     def test_plan_invariants_fuzz(self):
         rng = np.random.default_rng(2)

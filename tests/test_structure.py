@@ -1,6 +1,6 @@
 """Import structure: the simulated detector is a leaf that only the CLI
-imports, no import cycle is hidden behind TYPE_CHECKING, and the package
-root re-exports nothing."""
+imports, no import cycle is hidden behind TYPE_CHECKING, the package root
+re-exports nothing, and no module imports a name it does not use."""
 
 import ast
 import os
@@ -62,3 +62,17 @@ def test_no_module_names_type_checking():
 def test_package_root_reexports_nothing():
     tree = parsed_modules()["__init__"]
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in parsed_modules().items():
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{name}: {imported_name}" for imported_name in sorted(imported - used))
+    assert unused == []
