@@ -1,7 +1,10 @@
-"""Pinned outputs of `roipack run` on a small fixed dataset.
+"""Pinned outputs of `roipack gen` and of `roipack run` on a small fixed
+dataset.
 
 A change that is meant to keep behaviour must keep these hashes. The
 annotations path is relative because `run` copies it into the summary.
+The fixture's own hash shows a change to `gen` as a change to `gen`, not
+only through `run`'s outputs.
 """
 
 import hashlib
@@ -12,6 +15,18 @@ import pytest
 from roipack.cli import main
 
 GEN_ARGS = ["gen", "--videos", "6", "--frames", "30", "--seed", "7", "--out", "data.jsonl"]
+
+DATA_SHA256 = "13cbab20c78d36f48b54c3c7a5488f23427dc408bca16222f46d848913543990"
+
+# (extra gen flags) -> data.jsonl sha256, with the motion jitter off. These
+# outputs use every draw of `gen` but the jitter, so a change to the jitter
+# draws alone must keep them.
+GOLDEN_NO_JITTER = {
+    (): "13d52a3d2a1371822c0d01e661823ee68cd70320f0ff4e0c8e61276467b2884f",
+    ("--min-objects", "4", "--max-objects", "8", "--occupancy", "0.35"): (
+        "4c4e009ecb8c21418ebe3c0842155820d9c836db71a430592960d7dc519a8df8"
+    ),
+}
 
 # (extra run flags) -> (results.jsonl sha256, summary sha256)
 GOLDEN = {
@@ -45,6 +60,18 @@ def dataset(tmp_path_factory):
         mp.chdir(root)
         assert main(GEN_ARGS) == 0
     return root
+
+
+def test_fixture_matches_pinned_hash(dataset):
+    assert _sha256(dataset / "data.jsonl") == DATA_SHA256
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN_NO_JITTER), ids=["default", "crowded"])
+def test_gen_without_jitter_matches_pinned_hash(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*GEN_ARGS, "--jitter", "0", *flags]) == 0
+    capsys.readouterr()
+    assert _sha256(tmp_path / "data.jsonl") == GOLDEN_NO_JITTER[flags]
 
 
 @pytest.mark.parametrize("flags", list(GOLDEN), ids=lambda f: "-".join(f[1::2]))
