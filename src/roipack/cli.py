@@ -53,7 +53,6 @@ def _number(cast, ok, rule: str):
 _positive_int = _number(int, lambda v: v >= 1, ">= 1")
 _nonnegative_int = _number(int, lambda v: v >= 0, ">= 0")
 _nonnegative_float = _number(float, lambda v: v >= 0, "finite and >= 0")
-_positive_float = _number(float, lambda v: v > 0, "finite and > 0")
 _fraction = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _unit_interval = _number(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _frame_side = _number(float, lambda v: 0 < v <= MAX_FRAME_SIDE, f"in (0, {MAX_FRAME_SIDE:g}]")
@@ -78,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--velocity-max", type=_nonnegative_float, default=1.5)
     gen.add_argument("--jitter", type=_nonnegative_float, default=0.2)
     gen.add_argument("--classes", type=_positive_int, default=3)
-    gen.add_argument("--full-size", type=_positive_float, default=300.0)
+    gen.add_argument("--full-size", type=_frame_side, default=300.0)
     gen.add_argument("--seed", type=_nonnegative_int, default=0)
     gen.add_argument("--out", required=True)
 
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="dataset occupancy and temporal overlap")
     stats.add_argument("annotations")
     stats.add_argument("--bins", type=_positive_int, default=20)
-    stats.add_argument("--full-size", type=_positive_float, default=300.0)
+    stats.add_argument("--full-size", type=_frame_side, default=300.0)
     stats.add_argument("--out-dir", default=".")
 
     return parser

@@ -15,18 +15,21 @@ pipeline accuracy can be measured without a real model:
     the slot scale from 1, so unscaled crops are never penalized and the
     baseline packer's rescaled cells are.
 
-All randomness flows from one seed through generators keyed by
-(seed, stream, frame_id, object index), making per-frame results
-independent of processing order. The detector's draws for one object (four
-normals for the edge jitter, one uniform for the margin miss) depend on
-nothing but that key, and every video of a run reuses the same frame ids
-and object indices, so they are memoized per (seed, frame_id, object index)
-in a bounded cache instead of building a generator per detected object.
+All randomness flows from one seed through generators keyed by (seed,
+stream). The detector's generators are keyed further by (frame_id, object
+index), making per-frame results independent of processing order. Its
+draws for one object (four normals for the edge jitter, one uniform for
+the margin miss) depend on nothing but that key, and every video of a run
+reuses the same frame ids and object indices, so they are memoized per
+(seed, frame_id, object index) in a bounded cache instead of building a
+generator per detected object.
 
 The generator emits square-frame videos whose per-video union occupancy is
 drawn from a sparse/heavy scene mixture averaging the requested mean;
 objects move with constant velocity plus jitter and reflect off frame
-boundaries.
+boundaries. Each video's jitter comes from its own motion stream, drawn up
+front frame by frame for all objects at once, so a shorter video is a
+prefix of a longer one with the same seed.
 """
 
 import functools
@@ -300,24 +303,24 @@ def gen_synthetic(params: SyntheticParams) -> list[GroundTruthFrame]:
     weights = init.uniform(0.5, 1.5, n)
     weights /= weights.sum()
     aspects = np.exp(init.uniform(math.log(_ASPECT_RANGE[0]), math.log(_ASPECT_RANGE[1]), n))
-    classes = init.integers(0, params.num_classes, n)
+    classes = init.integers(0, params.num_classes, n).tolist()
     speeds = init.uniform(params.velocity[0], params.velocity[1], n)
     angles = init.uniform(0.0, 2.0 * math.pi, n)
 
     max_side = _MAX_SIDE_FRAC * side
-    half_w = np.empty(n)
-    half_h = np.empty(n)
+    half_w: list[float] = []
+    half_h: list[float] = []
     for i in range(n):
         area = occupancy * side * side * weights[i]
         w = min(max(math.sqrt(area * aspects[i]), _MIN_SIDE), max_side)
         h = min(max(math.sqrt(area / aspects[i]), _MIN_SIDE), max_side)
-        half_w[i] = 0.5 * w
-        half_h[i] = 0.5 * h
+        half_w.append(0.5 * w)
+        half_h.append(0.5 * h)
 
     # Rejection placement keeps the initial union close to the occupancy
     # draw by avoiding overlaps when the frame allows it.
-    cx = np.empty(n)
-    cy = np.empty(n)
+    cx: list[float] = []
+    cy: list[float] = []
     placed: list[Rect] = []
     for i in range(n):
         for _ in range(_PLACEMENT_TRIES):
@@ -326,18 +329,21 @@ def gen_synthetic(params: SyntheticParams) -> list[GroundTruthFrame]:
             candidate = Rect(x - half_w[i], y - half_h[i], x + half_w[i], y + half_h[i])
             if not any(intersects(candidate, other) for other in placed):
                 break
-        cx[i], cy[i] = x, y
+        cx.append(x)
+        cy.append(y)
         placed.append(candidate)
 
-    vx = speeds * np.cos(angles)
-    vy = speeds * np.sin(angles)
+    vx = (speeds * np.cos(angles)).tolist()
+    vy = (speeds * np.sin(angles)).tolist()
+    # Row f - 1 holds every object's (x, y) jitter for the step into frame
+    # f, so a shorter video is a prefix of a longer one with the same seed.
+    motion = _rng(params.seed, _STREAM_MOTION)
+    jitter = (params.jitter_sigma * motion.standard_normal((params.frames - 1, n, 2))).tolist()
 
     frames: list[GroundTruthFrame] = []
     for f in range(params.frames):
         if f > 0:
-            for i in range(n):
-                motion = _rng(params.seed, _STREAM_MOTION, f, i)
-                jx, jy = params.jitter_sigma * motion.standard_normal(2)
+            for i, (jx, jy) in enumerate(jitter[f - 1]):
                 nx, bounced_x = _reflect(cx[i] + vx[i] + jx, half_w[i], side - half_w[i])
                 ny, bounced_y = _reflect(cy[i] + vy[i] + jy, half_h[i], side - half_h[i])
                 cx[i], cy[i] = nx, ny
@@ -347,7 +353,7 @@ def gen_synthetic(params: SyntheticParams) -> list[GroundTruthFrame]:
                     vy[i] = -vy[i]
         objects = tuple(
             GtObject(
-                int(classes[i]),
+                classes[i],
                 Rect(
                     cx[i] - half_w[i],
                     cy[i] - half_h[i],

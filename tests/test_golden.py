@@ -16,7 +16,7 @@ from roipack.cli import main
 
 GEN_ARGS = ["gen", "--videos", "6", "--frames", "30", "--seed", "7", "--out", "data.jsonl"]
 
-DATA_SHA256 = "13cbab20c78d36f48b54c3c7a5488f23427dc408bca16222f46d848913543990"
+DATA_SHA256 = "148801b9a2957d110d4e53f82ee68b2ee47a207b00a8142ffdae50759f10839a"
 
 # (extra gen flags) -> data.jsonl sha256, with the motion jitter off. These
 # outputs use every draw of `gen` but the jitter, so a change to the jitter
@@ -31,19 +31,19 @@ GOLDEN_NO_JITTER = {
 # (extra run flags) -> (results.jsonl sha256, summary sha256)
 GOLDEN = {
     ("--mode", "pad"): (
-        "3ccc40ff489b372463ccfe530684d07a1e63dfd3d803766d90ab7e1edb101cd6",
-        "b2df295447ea18577a8869534c45d6128ae285d99aeeb31fbb8d8b2f5de87b45",
+        "8e6a98d8f44b82e71107bbb2062928b7fde327c3f8b0114384031dbb977b663c",
+        "7cb56790d7cc0bc6f23cad6a615302dcb00aa3b67e48639738259e5d60620a9f",
     ),
     ("--mode", "naive"): (
-        "d8469c1f0cf595ea23b9c0b1c03baa89443bd18578299d83a34e99d2fcd5f2f3",
-        "360c38d8d318716fb441e01e90e6af3865598ed01e5a7aa8763fed7414e74264",
+        "f850f182d2d70a81829eb2aa0bfe55a2fb2a4043195c29b3a248278d9f9a0154",
+        "b556e854595f63d73b9ff07fa461658f691cf3051a7dcda23776c8d5d89282c8",
     ),
     ("--mode", "baseline"): (
-        "3b6350a106341a8607d3ffd42d0a0db2905a25a4c16c57f9bca2a6527fd2e700",
+        "860842a244c2271a9e54804685b6c3e48d7b1ee551ebfb3862400fbe2f372c54",
         "e3a0f8e7636e0003a6373c533672cb2c917f225b9dd39e3c866f6bdb8eab5bd9",
     ),
     ("--mode", "pad", "--noise-profile", "off"): (
-        "41a88fe24e53428c4a088655943b43acd43f3098309d2bec24e08cd60e70e94a",
+        "5ea971c2f0b4283c6bdc04819945a447857328a5770236ddd021877bc08fb5ed",
         "ca603eaea6d763797906af17d81867f4d8f46fd4ec59869ace1c72a51994c063",
     ),
 }

@@ -365,3 +365,50 @@ class TestGenSynthetic:
         for seed in range(10):
             video = gen_synthetic(SyntheticParams(frames=5, seed=seed, num_objects=(2, 3)))
             assert 2 <= len(video[0].objects) <= 3
+
+    def test_shorter_video_is_a_prefix_of_a_longer_one(self):
+        # Motion is drawn frame-major from one stream per video, so frame f
+        # does not depend on how many frames follow it.
+        for seed in range(50):
+            short = gen_synthetic(SyntheticParams(frames=10, seed=seed, num_objects=(2, 6)))
+            long = gen_synthetic(SyntheticParams(frames=25, seed=seed, num_objects=(2, 6)))
+            assert short == long[:10]
+
+    def test_jitter_is_independent_noise_of_the_given_sigma(self):
+        sigma = 0.5
+        margin = 8.0 * sigma  # no step of less than 8 sigma reaches an edge
+        steps, pairs_across_objects, pairs_across_frames = [], [], []
+        for seed in range(50):
+            params = SyntheticParams(
+                frames=40, seed=seed, num_objects=(2, 6), velocity=(0.0, 0.0),
+                jitter_sigma=sigma,
+            )
+            video = gen_synthetic(params)
+            rects = np.array(
+                [[(o.rect.x_min, o.rect.y_min, o.rect.x_max, o.rect.y_max) for o in f.objects]
+                 for f in video]
+            )
+            centers = (rects[..., :2] + rects[..., 2:]) / 2.0
+            step = centers[1:] - centers[:-1]
+            # A step from a box at least `margin` inside the frame never
+            # reflects, so it is the jitter draw itself.
+            away = (rects[:-1, :, :2] >= margin).all(-1) & (
+                rects[:-1, :, 2:] <= params.frame.side - margin
+            ).all(-1)
+            for f, i in zip(*np.nonzero(away)):
+                steps.append(step[f, i])
+                pairs_across_objects += [
+                    (step[f, i], step[f, j]) for j in range(i + 1, away.shape[1]) if away[f, j]
+                ]
+                if f + 1 < len(step) and away[f + 1, i]:
+                    pairs_across_frames.append((step[f, i], step[f + 1, i]))
+        steps = np.array(steps)
+        assert len(steps) > 5000
+        assert np.abs(steps.mean(axis=0)).max() < 0.05 * sigma
+        assert np.abs(steps.std(axis=0) / sigma - 1.0).max() < 0.05
+        assert abs(np.corrcoef(steps[:, 0], steps[:, 1])[0, 1]) < 0.1
+        for pairs in (pairs_across_objects, pairs_across_frames):
+            pairs = np.array(pairs)
+            assert len(pairs) > 2000
+            for axis in (0, 1):
+                assert abs(np.corrcoef(pairs[:, 0, axis], pairs[:, 1, axis])[0, 1]) < 0.1
