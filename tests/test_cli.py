@@ -235,8 +235,8 @@ class TestNumberArguments:
 
     @pytest.mark.parametrize("command", ["gen", "stats"])
     def test_full_size_above_the_cap_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
-        # A 1e300 px frame's area overflows to inf, and `stats` used to write
-        # the NaN means that follow into its summary, which is not JSON.
+        # A 1e300 px frame's area overflows to inf, and the NaN means that
+        # follow are not valid JSON.
         ann = gen(tmp_path)
         before = sorted(tmp_path.iterdir())
         argv = {
