@@ -12,6 +12,7 @@ import gc
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from functools import reduce
 from operator import add
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .costmodel import CostParams, aggregate
-from .evaluation import EvalReport, evaluate_detections
+from .evaluation import evaluate_detections
 from .formats import (
     AnnotationError,
     read_annotations,
@@ -56,6 +57,9 @@ _nonnegative_float = _number(float, lambda v: v >= 0, "finite and >= 0")
 _fraction = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _unit_interval = _number(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _frame_side = _number(float, lambda v: 0 < v <= MAX_FRAME_SIDE, f"in (0, {MAX_FRAME_SIDE:g}]")
+
+MAX_BINS = 10_000  # `stats --bins`: np.histogram allocates bins + 1 edges
+_bins = _number(int, lambda v: 1 <= v <= MAX_BINS, f"in [1, {MAX_BINS}]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="dataset occupancy and temporal overlap")
     stats.add_argument("annotations")
-    stats.add_argument("--bins", type=_positive_int, default=20)
+    stats.add_argument("--bins", type=_bins, default=20)
     stats.add_argument("--full-size", type=_frame_side, default=300.0)
     stats.add_argument("--out-dir", default=".")
 
@@ -130,20 +134,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _same_file(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:
-        return False
+def _refuse_overwrite(annotations: str, option: str, paths) -> None:
+    """Raise, before anything is written, if an output path is the input."""
+    for path in paths:
+        with suppress(OSError):  # an output that does not exist yet is fine
+            if os.path.samefile(path, annotations):
+                raise ValueError(f"{option} would write {path} over the annotations file")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     summary_path = str(Path(args.out).with_suffix("")) + ".summary.json"
-    for path in (args.out, summary_path):
-        if _same_file(path, args.annotations):
-            raise ValueError(
-                f"--out {args.out} would write {path} over the annotations file"
-            )
+    _refuse_overwrite(args.annotations, f"--out {args.out}", (args.out, summary_path))
     s1 = FrameSpec(args.full_size)
     s2 = FrameSpec(args.reduced_size)
     videos = read_annotations(args.annotations, s1)
@@ -179,16 +180,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     write_jsonl(args.out, records())
     cost = aggregate(decisions, cost_params)
-    if gt_pairs:
-        report = evaluate_detections(det_pairs, gt_pairs)
-    else:
-        # No object annotated anywhere: every AP, and so mAP, is undefined.
-        report = EvalReport(
-            per_class={},
-            mean_ap=None,
-            num_detections=len(det_pairs),
-            num_ground_truth=0,
-        )
+    report = evaluate_detections(det_pairs, gt_pairs)
     summary = {
         "annotations": args.annotations,
         "mode": args.mode,
@@ -218,6 +210,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out_dir)
+    names = ("occupancy_hist.csv", "temporal_iou_hist.csv", "stats_summary.json")
+    occ_path, iou_path, summary_path = outputs = [str(out_dir / name) for name in names]
+    _refuse_overwrite(args.annotations, f"--out-dir {args.out_dir}", outputs)
     frame_spec = FrameSpec(args.full_size)
     videos = read_annotations(args.annotations, frame_spec)
     if not videos:
@@ -230,10 +226,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         overlaps.extend(
             temporal_region_iou(a, b, frame_spec) for a, b in zip(frames, frames[1:])
         )
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     occ_hist = histogram(occupancies, args.bins)
-    write_histogram_csv(occ_hist, str(out_dir / "occupancy_hist.csv"))
+    write_histogram_csv(occ_hist, occ_path)
     summary = {
         "annotations": args.annotations,
         "videos": len(videos),
@@ -246,8 +241,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     }
     if overlaps:
         iou_hist = histogram(overlaps, args.bins)
-        write_histogram_csv(iou_hist, str(out_dir / "temporal_iou_hist.csv"))
-    write_json(str(out_dir / "stats_summary.json"), summary)
+        write_histogram_csv(iou_hist, iou_path)
+    write_json(summary_path, summary)
     print(
         f"{summary['frames']} frames, mean occupancy "
         f"{summary['mean_occupancy']:.4f}, mean temporal iou "

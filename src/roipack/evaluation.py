@@ -129,8 +129,8 @@ def mean_average_precision(per_class: Mapping[int, Optional[float]]) -> float:
 class EvalReport:
     """Per-class APs, their mean and the match counts behind them.
 
-    mean_ap is None only on a report built for a run without ground truth,
-    where no class has an AP.
+    mean_ap is None exactly when there is no ground truth, and then
+    per_class is empty.
     """
 
     per_class: dict[int, Optional[float]]
@@ -152,11 +152,12 @@ def evaluate_detections(
     ground_truth: Sequence[tuple[FrameKey, GtObject]],
     iou_threshold: float = 0.5,
 ) -> EvalReport:
-    """Score detections against ground truth over every annotated class."""
+    """Score detections against ground truth over every annotated class;
+    with no ground truth, per_class is empty and mean_ap is None."""
     per_class = _per_class_ap(detections, ground_truth, iou_threshold)
     return EvalReport(
         per_class=per_class,
-        mean_ap=mean_average_precision(per_class),
+        mean_ap=mean_average_precision(per_class) if per_class else None,
         num_detections=len(detections),
         num_ground_truth=len(ground_truth),
     )

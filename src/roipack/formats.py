@@ -8,7 +8,8 @@ Annotations are JSON Lines, one frame per line:
 Coordinates are normalized to [0, 1] and scaled to the working frame side
 on ingest. Result files mirror the input records and add the processing
 decision and the detections (with confidence); packed frames also carry
-their plan in working-frame pixels.
+their plan in working-frame pixels. Annotation lines and result lines share
+one frame encoder, `_frame_entry`, and one writer, `write_jsonl`.
 
 Every file is written to `<path>.tmp` and moved over `path` once complete.
 `write_jsonl` encodes and writes each record as its iterable yields it, so
@@ -55,23 +56,17 @@ def _rect_to_norm(rect: Rect, side: float) -> dict:
     }
 
 
-def _object_entry(obj: GtObject, side: float) -> dict:
-    return {"class": obj.class_id, **_rect_to_norm(obj.rect, side)}
+def _frame_entry(video: str, frame: GroundTruthFrame, side: float) -> dict:
+    """A frame's annotation line; its result line starts from it."""
+    objects = [{"class": o.class_id, **_rect_to_norm(o.rect, side)} for o in frame.objects]
+    return {"video": video, "frame": frame.frame_id, "objects": objects}
 
 
 def write_annotations(
     path: str, videos: Mapping[str, Sequence[GroundTruthFrame]], frame_spec: FrameSpec
 ):
     side = frame_spec.side
-    with replacing(path) as fh:
-        for name in videos:
-            for frame in videos[name]:
-                record = {
-                    "video": name,
-                    "frame": frame.frame_id,
-                    "objects": [_object_entry(obj, side) for obj in frame.objects],
-                }
-                fh.write(json.dumps(record) + "\n")
+    write_jsonl(path, (_frame_entry(name, f, side) for name in videos for f in videos[name]))
 
 
 def _parse_object(raw: object, side: float, where: str) -> GtObject:
@@ -169,13 +164,9 @@ def result_record(
     frame_spec: FrameSpec,
 ) -> dict:
     side = frame_spec.side
-    record = {
-        "video": video,
-        "frame": frame.frame_id,
-        "objects": [_object_entry(obj, side) for obj in frame.objects],
-        "decision": decision.kind.value,
-        "detections": [detection_entry(det, side) for det in detections],
-    }
+    record = _frame_entry(video, frame, side)
+    record["decision"] = decision.kind.value
+    record["detections"] = [detection_entry(det, side) for det in detections]
     if decision.plan is not None:
         record["plan"] = plan_entry(decision.plan)
     return record

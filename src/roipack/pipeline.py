@@ -172,7 +172,7 @@ class VideoRun:
     """All frame records of one video plus the aggregated cost."""
 
     records: tuple[FrameRecord, ...]
-    cost: Optional[CostReport]
+    cost: CostReport
 
 
 def run_video(
@@ -185,21 +185,21 @@ def run_video(
     """Process frames 0..n_frames-1 sequentially, threading detections.
 
     Frame i's decision depends only on frame i-1's detections and on i
-    itself, so a run can be replayed from any checkpoint. An empty video
-    yields empty records and no cost report.
+    itself, so a run can be replayed from any checkpoint. A video needs at
+    least one frame: n_frames < 1 raises ValueError.
 
     Frames are scheduled by position: i is the index into the video's frame
     list, not an annotated frame id, so a video subsampled to ids 0, 10,
     20, ... gets an anchor every anchor_interval-th listed frame.
     """
+    if n_frames < 1:
+        raise ValueError(f"a video needs at least one frame, got {n_frames}")
     records: list[FrameRecord] = []
     prev: Sequence[Detection] = ()
     for i in range(n_frames):
         decision, detections = step(prev, i, config, detector, packer)
         records.append(FrameRecord(i, decision, tuple(detections)))
         prev = detections
-    if not records:
-        return VideoRun(records=(), cost=None)
     params = cost_params or CostParams.for_frames(config.s1, config.s2)
     cost = aggregate([r.decision for r in records], params)
     return VideoRun(records=tuple(records), cost=cost)

@@ -258,6 +258,26 @@ class TestNumberArguments:
         assert 0.0 < summary["mean_occupancy"] <= 1.0
         assert 0.0 < summary["mean_temporal_iou"] <= 1.0
 
+    def test_bins_at_the_cap_are_accepted(self, tmp_path):
+        ann = gen(tmp_path, videos="2", frames="5")
+        out_dir = tmp_path / "stats"
+        argv = ["stats", str(ann), "--bins", str(cli.MAX_BINS), "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        rows = (out_dir / "occupancy_hist.csv").read_text().splitlines()
+        assert len(rows) == 1 + cli.MAX_BINS == 10_001
+
+    def test_bins_above_the_cap_exit_2_and_write_nothing(self, tmp_path, capsys):
+        # np.histogram allocates bins + 1 edges, so an uncapped count can
+        # exhaust memory before any output is written.
+        ann = gen(tmp_path, videos="2", frames="5")
+        before = sorted(tmp_path.iterdir())
+        argv = ["stats", str(ann), "--bins", str(cli.MAX_BINS + 1), "--out-dir", str(tmp_path / "stats")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "must be in [1, 10000]" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_unparsable_value_names_its_type(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run", "x.jsonl", "--seed", "seven", "--out", "y.jsonl"])
@@ -425,6 +445,18 @@ class TestStats:
                 total += value
             assert math.fsum(values) / len(values) != total / len(values)
             assert summary[key] == total / len(values)
+
+    @pytest.mark.parametrize(
+        "name", ["occupancy_hist.csv", "temporal_iou_hist.csv", "stats_summary.json"]
+    )
+    def test_output_over_annotations_is_refused(self, tmp_path, monkeypatch, capsys, name):
+        ann = gen(tmp_path, name=name, videos="2", frames="5")
+        before = ann.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", name, "--out-dir", "."]) == 1
+        assert f"--out-dir . would write {name} over the annotations file" in capsys.readouterr().err
+        assert ann.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
     def test_single_frame_dataset_has_no_pairs(self, tmp_path):
         ann = tmp_path / "one.jsonl"

@@ -275,6 +275,10 @@ class TestEvaluateDetections:
         assert set(payload) == {"per_class_ap", "mAP", "num_detections", "num_ground_truth"}
         assert list(payload["per_class_ap"]) == ["0"]
 
-    def test_empty_ground_truth_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_detections([(0, d(GT_A, 0.9))], [])
+    def test_empty_ground_truth_has_no_map(self):
+        # No class has an AP, so there is no mean; the detections still count.
+        report = evaluate_detections([(0, d(GT_A, 0.9))], [])
+        assert report.per_class == {}
+        assert report.mean_ap is None
+        assert report.num_detections == 1
+        assert report.num_ground_truth == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from roipack.costmodel import CostParams, DecisionKind, FrameDecision
+from roipack.costmodel import CostParams, CostReport, DecisionKind, FrameDecision
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import pack
 from roipack.pipeline import (
@@ -163,10 +163,12 @@ class TestStep:
 
 
 class TestRunVideo:
-    def test_empty_video(self):
-        run = run_video(0, CFG, ConstantDetector([]))
-        assert run.records == ()
-        assert run.cost is None
+    def test_video_needs_a_frame(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            run_video(0, CFG, ConstantDetector([]))
+        run = run_video(1, CFG, ConstantDetector([]))
+        assert [r.decision.kind for r in run.records] == [DecisionKind.ANCHOR]
+        assert isinstance(run.cost, CostReport)
 
     def test_skip_cascade_until_next_anchor(self):
         detector = ScriptedDetector(full={0: [det(10, 10, 50, 50)]})

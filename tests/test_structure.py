@@ -1,6 +1,7 @@
 """Import structure: the simulated detector is a leaf that only the CLI
 imports, no import cycle is hidden behind TYPE_CHECKING, the package root
-re-exports nothing, and no module imports a name it does not use."""
+re-exports nothing, no module imports a name it does not use, and each run
+result is built only by the module that defines it."""
 
 import ast
 import os
@@ -76,3 +77,14 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused.extend(f"{name}: {imported_name}" for imported_name in sorted(imported - used))
     assert unused == []
+
+
+def test_run_results_are_built_only_where_they_are_defined():
+    owners = {"EvalReport": "evaluation", "CostReport": "costmodel", "VideoRun": "pipeline"}
+    builders = {
+        (node.func.id, name)
+        for name, tree in parsed_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in owners
+    }
+    assert builders == set(owners.items())
