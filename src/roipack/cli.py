@@ -26,6 +26,7 @@ from .formats import (
     AnnotationError,
     read_annotations,
     result_record,
+    temporary,
     write_annotations,
     write_json,
     write_jsonl,
@@ -135,11 +136,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _refuse_overwrite(annotations: str, option: str, paths) -> None:
-    """Raise, before anything is written, if an output path is the input."""
+    """Raise, before anything is read, if an output path or the temporary
+    name it is first written under is the input."""
     for path in paths:
-        with suppress(OSError):  # an output that does not exist yet is fine
-            if os.path.samefile(path, annotations):
-                raise ValueError(f"{option} would write {path} over the annotations file")
+        for target in (path, temporary(path)):
+            with suppress(OSError):  # an output that does not exist yet is fine
+                if os.path.samefile(target, annotations):
+                    raise ValueError(f"{option} would write {target} over the annotations file")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -32,11 +32,16 @@ class AnnotationError(ValueError):
     """Malformed annotation input; the message names the offending line."""
 
 
+def temporary(path: str) -> str:
+    """The name `replacing` writes `path` under until it is complete."""
+    return f"{path}.tmp"
+
+
 @contextmanager
 def replacing(path: str, newline=None):
     """Open a temporary file beside `path` for writing and move it over
     `path` once written, so a failure never leaves a partial file there."""
-    tmp = f"{path}.tmp"
+    tmp = temporary(path)
     try:
         with open(tmp, "w", newline=newline) as fh:
             yield fh

@@ -26,14 +26,19 @@ class Rect:
     y_max: float
 
     def __post_init__(self):
+        # One chained comparison accepts every valid rect (NaN fails it too);
+        # only a failure works out which rule was broken.
+        if -math.inf < self.x_min < self.x_max < math.inf and (
+            -math.inf < self.y_min < self.y_max < math.inf
+        ):
+            return
         for v in (self.x_min, self.y_min, self.x_max, self.y_max):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite rect coordinate: {v!r}")
-        if self.x_min >= self.x_max or self.y_min >= self.y_max:
-            raise ValueError(
-                f"degenerate rect: ({self.x_min}, {self.y_min}, "
-                f"{self.x_max}, {self.y_max})"
-            )
+        raise ValueError(
+            f"degenerate rect: ({self.x_min}, {self.y_min}, "
+            f"{self.x_max}, {self.y_max})"
+        )
 
     @property
     def width(self) -> float:

@@ -16,19 +16,21 @@ Growth is defined in rounds of at most one pixel unit per slot, split
 symmetrically between both sides; growth clipped at a source frame boundary
 spills to the opposite side. A slot stops growing along an axis when the
 shared destination capacity is used up, when it would run into another
-slot's source patch, or when it already spans the whole source frame. Runs
-of quiet rounds, in which every growing slot just takes its full unit, skip
-the per-round checks against those limits. Each skipped round's float
-operations still run once per slot, which keeps the plans bit-identical to
-stepping every round, so expansion time grows with the pixels grown; that is
-why the command line caps frame sides at MAX_FRAME_SIDE.
+slot's source patch, or when it already spans the whole source frame.
+
+Plans are bit-identical to stepping every round, but expansion pays per
+event (a freeze, a collision, a pin to a frame edge), not per round: a run
+of quiet rounds, in which every growing slot just takes its full unit, is
+replayed with one float addition per power of two crossed, and a collision
+is settled from the exact float growth at which the slot first hits.
 
 A naive baseline packer is included for comparison: each ROI is expanded by
 a fixed factor and rescaled into a fixed grid cell, which distorts aspect
 ratios and provides little context.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -39,8 +41,9 @@ MAX_SLOTS = 4
 # Per-round growth quantum for greedy expansion, in pixel units.
 GROWTH_STEP = 1.0
 
-# Largest frame side the command line accepts: expansion steps through every
-# round of growth, so its time is linear in the side.
+# Largest frame side the command line accepts, because a larger frame's area
+# can overflow. Expansion time no longer grows with the side: it follows
+# events, not rounds of growth.
 MAX_FRAME_SIDE = 65536.0
 
 _EPS = 1e-9
@@ -180,10 +183,6 @@ def merge_overlaps(rects: Sequence[Rect]) -> list[Rect]:
 _GROUPS_BY_COUNT = {1: ((0,),), 2: ((0,), (1,)), 3: ((0,), (1, 2)), 4: ((0, 2), (1, 3))}
 
 
-def _size(box: Rect, axis: int) -> float:
-    return box.width if axis == 0 else box.height
-
-
 def choose_layout(boxes: Sequence[Rect]) -> Layout:
     """Pick the grid arrangement for 1..4 pairwise disjoint boxes.
 
@@ -197,8 +196,12 @@ def choose_layout(boxes: Sequence[Rect]) -> Layout:
     n = len(boxes)
     if not 1 <= n <= MAX_SLOTS:
         raise ValueError(f"choose_layout() takes 1..{MAX_SLOTS} boxes, got {n}")
-    axis = 0 if max(b.height for b in boxes) >= max(b.width for b in boxes) else 1
-    order = sorted(range(n), key=lambda i: (-_size(boxes[i], 1 - axis), i))
+    widths = [b.x_max - b.x_min for b in boxes]
+    heights = [b.y_max - b.y_min for b in boxes]
+    axis = 0 if max(heights) >= max(widths) else 1
+    # A stable sort keeps index order among equal sizes, reversed or not.
+    across = heights if axis == 0 else widths
+    order = sorted(range(n), key=across.__getitem__, reverse=True)
     groups = tuple(tuple(order[r] for r in ranks) for ranks in _GROUPS_BY_COUNT[n])
     return Layout(axis=axis, groups=groups)
 
@@ -210,18 +213,27 @@ def _flush_slots(boxes: Sequence[Rect], layout: Layout) -> tuple[tuple[PackSlot,
     destination origin, that holds them all.
     """
     axis = layout.axis
-    dst: dict[int, Rect] = {}
+    dst = [None] * len(boxes)
     group_off = longest_stack = 0.0
     for members in layout.groups:
-        member_off = 0.0
+        member_off = extent = 0.0
         for i in members:
             b = boxes[i]
-            x, y = (group_off, member_off) if axis == 0 else (member_off, group_off)
-            dst[i] = Rect(x, y, x + b.width, y + b.height)
-            member_off += _size(b, 1 - axis)
-        group_off += max(_size(boxes[i], axis) for i in members)
-        longest_stack = max(longest_stack, member_off)
-    slots = tuple(PackSlot(b, dst[i], 1.0, 1.0) for i, b in enumerate(boxes))
+            width, height = b.x_max - b.x_min, b.y_max - b.y_min
+            if axis == 0:
+                dst[i] = Rect(group_off, member_off, group_off + width, member_off + height)
+                member_off += height
+                size = width
+            else:
+                dst[i] = Rect(member_off, group_off, member_off + width, group_off + height)
+                member_off += width
+                size = height
+            if size > extent:
+                extent = size
+        group_off += extent
+        if member_off > longest_stack:
+            longest_stack = member_off
+    slots = tuple(PackSlot(b, d, 1.0, 1.0) for b, d in zip(boxes, dst))
     return slots, max(group_off, longest_stack)
 
 
@@ -253,7 +265,10 @@ def _grow_interval(
     if right > room_r:
         left = min(room_l, left + (right - room_r))
         right = room_r
-    return max(0.0, lo - left), min(bound, hi + right)
+    lo -= left
+    hi += right
+    # max(0.0, lo) and min(bound, hi), without the calls.
+    return (lo if lo > 0.0 else 0.0), (hi if hi < bound else bound)
 
 
 # Quiet rounds are skipped only while every bound they rely on still holds
@@ -261,30 +276,110 @@ def _grow_interval(
 _QUIET_MARGIN = 2
 
 
+def _repeat_add(x: float, step: float, k: int) -> float:
+    """`x += step` repeated k times, for x > 0 and a power-of-two step no
+    smaller than ulp(x).
+
+    Each addition whose sum stays below the next power of two above x is
+    exact, so such a run is one addition of its total; the addition that
+    crosses the power of two rounds, and runs on its own.
+    """
+    while True:
+        top = math.ldexp(1.0, math.frexp(x)[1])
+        exact = math.ceil((top - x) / step) - 1  # additions that stay below top
+        if k <= exact:
+            return x + k * step
+        x += exact * step
+        x += step
+        k -= exact + 1
+
+
+def _first_hit(
+    lo: float, hi: float, allowed: float, bound: float, blocking: Sequence[tuple[float, float]]
+) -> float:
+    """The least float growth g at which _grow_interval(lo, hi, g, bound)
+    strictly overlaps one of the `blocking` intervals, given that growth
+    _EPS overlaps none of them and growth `allowed` overlaps one.
+
+    Hitting is monotone in g: the grown lo never rises and hi never falls.
+    So the search brackets an estimate of the contact growth, widens the
+    bracket until it holds the answer, and halves it down to adjacent floats.
+    """
+
+    def hits(g: float) -> bool:
+        grown_lo, grown_hi = _grow_interval(lo, hi, g, bound)
+        for b_lo, b_hi in blocking:
+            if grown_lo < b_hi and b_lo < grown_hi:
+                return True
+        return False
+
+    # Gap d to a blocker is closed by growth 2d, or by d plus the room on
+    # the far side once that room runs out and the growth spills over.
+    estimate = allowed
+    for b_lo, b_hi in blocking:
+        if b_lo >= hi:
+            gap = b_lo - hi
+            estimate = min(estimate, gap + min(gap, lo))
+        else:
+            gap = lo - b_hi
+            estimate = min(estimate, gap + min(gap, bound - hi))
+    width = 4.0 * math.ulp(bound)
+    below, above = max(_EPS, estimate - width), min(allowed, estimate + width)
+    while hits(below):
+        width *= 2.0
+        below, above = max(_EPS, estimate - width), below
+    while not hits(above):
+        width *= 2.0
+        below, above = above, min(allowed, estimate + width)
+    while True:
+        # The rounded midpoint lies strictly between two floats until no
+        # float does.
+        mid = 0.5 * (below + above)
+        if mid == below or mid == above:
+            return above
+        if hits(mid):
+            above = mid
+        else:
+            below = mid
+
+
 def _expand_axis(
     src: list[list[float]], axis: int, layout: Layout, dest_side: float, src_side: float
 ):
     """Grow all slots along one axis in simultaneous rounds until frozen.
 
-    A round is quiet when every active slot takes a full GROWTH_STEP without
-    meeting the capacity limit, a frame edge or another slot. A run of quiet
-    rounds skips the bound checks, but each round's float operations still
-    run once per slot, so the result is bit-identical to stepping every
-    round.
+    The result is bit-identical to stepping every unit round, but the cost
+    follows events (a freeze, a collision, a pin to a frame edge), not
+    rounds:
+      - a run of quiet rounds, in which every active slot takes a full
+        GROWTH_STEP without meeting the capacity limit, a frame edge or
+        another slot, is replayed with one addition per edge and power of
+        two crossed; the bounds that find such runs are asked again only
+        after an event;
+      - a slot that already touches a blocker freezes after one test, and
+        one that collides finds the exact float growth at which it first
+        hits, so the unit round's bisection compares numbers instead of
+        growing intervals.
     """
     n = len(src)
     groups = layout.groups
-    group_of = {i: g for g, members in enumerate(groups) for i in members}
+    group_of = [0] * n
+    for g, members in enumerate(groups):
+        for i in members:
+            group_of[i] = g
     on_extent = axis == layout.axis
+    los = [s[axis] for s in src]
+    his = [s[axis + 2] for s in src]
 
     # Extent axis: the sum of group extents is capped, but a slot below its
     # group's current extent grows free up to it. Stacking axis: members of
     # one group share the destination side. Only a moved slot's entries are
-    # refreshed, with the expressions a full recomputation would use.
-    sizes = [s[axis + 2] - s[axis] for s in src]
-    extents = [max(sizes[j] for j in members) for members in groups]
+    # refreshed, to the floats a full recomputation would give.
+    sizes = [hi - lo for lo, hi in zip(los, his)]
+    size_of = sizes.__getitem__
+    extents = [max(map(size_of, members)) for members in groups]
     slack = dest_side - sum(extents)
-    stack_free = [dest_side - sum(sizes[j] for j in members) for members in groups]
+    stack_free = [dest_side - sum(map(size_of, members)) for members in groups]
 
     def headroom(i: int) -> float:
         if on_extent:
@@ -293,30 +388,27 @@ def _expand_axis(
 
     def moved(i: int):
         nonlocal slack
-        sizes[i] = src[i][axis + 2] - src[i][axis]
+        size = sizes[i] = his[i] - los[i]
         g = group_of[i]
-        if on_extent:
-            extents[g] = max(sizes[j] for j in groups[g])
+        if not on_extent:
+            stack_free[g] = dest_side - sum(map(size_of, groups[g]))
+        elif size > extents[g]:  # sizes never shrink, so neither do extents
+            extents[g] = size
             slack = dest_side - sum(extents)
-        else:
-            stack_free[g] = dest_side - sum(sizes[j] for j in groups[g])
 
     # The other axis does not move during this pass, so the slots that can
     # block slot i are fixed: those overlapping it on the other axis.
     o_lo, o_hi = 1 - axis, 3 - axis
-    blockers = [
-        [
-            j
-            for j in range(n)
-            if j != i and src[i][o_lo] < src[j][o_hi] and src[j][o_lo] < src[i][o_hi]
-        ]
-        for i in range(n)
-    ]
+    blockers = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if src[i][o_lo] < src[j][o_hi] and src[j][o_lo] < src[i][o_hi]:
+                blockers[i].append(j)
+                blockers[j].append(i)
 
-    def hits(i: int, grown: tuple[float, float]) -> bool:
-        lo, hi = grown
+    def hits(i: int, lo: float, hi: float) -> bool:
         for j in blockers[i]:
-            if lo < src[j][axis + 2] and src[j][axis] < hi:
+            if lo < his[j] and los[j] < hi:
                 return True
         return False
 
@@ -330,91 +422,115 @@ def _expand_axis(
         right = [0.0] * n
         growing = [0] * len(groups)
         for i in active:
-            if src[i][axis] == 0.0:
+            if los[i] == 0.0:
                 right[i] = GROWTH_STEP
-            elif src[i][axis + 2] == src_side:
+            elif his[i] == src_side:
                 left[i] = GROWTH_STEP
             else:
                 left[i] = right[i] = half
             growing[group_of[i]] += 1
-        growing_groups = sum(1 for count in growing if count)
-        rounds = float("inf")
+        growing_groups = len(groups) - growing.count(0)
+        # The least of these bounds over the active slots (as conditionals:
+        # the builtin min() costs more than the whole comparison).
+        rounds = math.inf
         for i in active:
-            lo, hi = src[i][axis], src[i][axis + 2]
-            # Stay clear of the frame edges; this also keeps room >= a step.
-            if left[i]:
-                rounds = min(rounds, lo / left[i])
-            if right[i]:
-                rounds = min(rounds, (src_side - hi) / right[i])
+            lo, hi = los[i], his[i]
             # A round costs slot i's headroom at most one step per group
             # with a growing slot (extent axis), or per growing member of
             # its own group (stacking axis).
             spend = growing_groups if on_extent else growing[group_of[i]]
-            rounds = min(rounds, (headroom(i) - GROWTH_STEP) / (spend * GROWTH_STEP))
+            bound = (headroom(i) - GROWTH_STEP) / (spend * GROWTH_STEP)
+            if bound < rounds:
+                rounds = bound
+            # Stay clear of the frame edges; this also keeps room >= a step.
+            if left[i]:
+                bound = lo / left[i]
+                if bound < rounds:
+                    rounds = bound
+            if right[i]:
+                bound = (src_side - hi) / right[i]
+                if bound < rounds:
+                    rounds = bound
             # Gaps to the blockers, closed from both sides.
             for j in blockers[i]:
-                if src[j][axis] >= hi:
-                    gap, closing = src[j][axis] - hi, right[i] + left[j]
+                if los[j] >= hi:
+                    gap, closing = los[j] - hi, right[i] + left[j]
                 else:
-                    gap, closing = lo - src[j][axis + 2], left[i] + right[j]
+                    gap, closing = lo - his[j], left[i] + right[j]
                 if closing:
-                    rounds = min(rounds, gap / closing)
+                    bound = gap / closing
+                    if bound < rounds:
+                        rounds = bound
             if rounds < _QUIET_MARGIN + 1:
                 return 0
         return int(rounds) - _QUIET_MARGIN
 
-    active = set(range(n))
+    active = list(range(n))  # ascending slot index
+    check = True  # whether an event may have opened a run of quiet rounds
     while active:
-        skip = quiet_rounds() if len(active) > 1 else 0
-        if skip:
-            for i in active:
-                lo, hi = src[i][axis], src[i][axis + 2]
-                # One op per round, as _grow_interval performs it: a closed
-                # form would round differently once hi crosses powers of two.
-                if lo == 0.0:
-                    for _ in range(skip):
-                        hi += GROWTH_STEP
-                    lo = 0.0
-                elif hi == src_side:
-                    for _ in range(skip):
-                        lo -= GROWTH_STEP
-                    hi = src_side
-                else:
-                    for _ in range(skip):
-                        lo -= half
-                        hi += half
-                src[i][axis], src[i][axis + 2] = lo, hi
-                moved(i)
-        for i in sorted(active):
-            allowance = headroom(i)
-            lo, hi = src[i][axis], src[i][axis + 2]
+        if check and len(active) > 1:
+            check = False
+            skip = quiet_rounds()
+            if skip:
+                # Each unit subtraction from lo is exact while lo >= a step,
+                # which the bounds keep, so k of them are one subtraction;
+                # additions to hi round where they cross a power of two.
+                for i in active:
+                    if los[i] == 0.0:
+                        his[i] = _repeat_add(his[i], GROWTH_STEP, skip)
+                    elif his[i] == src_side:
+                        los[i] -= skip * GROWTH_STEP
+                    else:
+                        los[i] -= skip * half
+                        his[i] = _repeat_add(his[i], half, skip)
+                    moved(i)
+        for i in tuple(active):
+            lo, hi = los[i], his[i]
+            # min(GROWTH_STEP, headroom, room), except that a lone grower
+            # faces only static limits: one full-size jump lands exactly
+            # where unit stepping would. len(active) is read per slot: when
+            # a slot freezes mid-round, the last one left takes its lone
+            # jump in that same round.
+            allowed = headroom(i)
+            if allowed > GROWTH_STEP and len(active) > 1:
+                allowed = GROWTH_STEP
             room = lo + (src_side - hi)
-            # len(active) is read per slot: when a slot freezes mid-round,
-            # the last one left takes its lone jump in that same round.
-            if len(active) == 1:
-                # A lone grower faces only static constraints; one full-size
-                # jump lands exactly where unit stepping would.
-                allowed = min(allowance, room)
-            else:
-                allowed = min(GROWTH_STEP, allowance, room)
+            if room < allowed:
+                allowed = room
             if allowed <= _EPS:
-                active.discard(i)
+                active.remove(i)
+                check = True
                 continue
-            grown = _grow_interval(lo, hi, allowed, src_side)
-            if hits(i, grown):
+            new_lo, new_hi = _grow_interval(lo, hi, allowed, src_side)
+            if hits(i, new_lo, new_hi):
+                check = True
+                # A slot that already touches a blocker hits at any growth
+                # above _EPS, so the bisection below could keep none.
+                if hits(i, *_grow_interval(lo, hi, _EPS, src_side)):
+                    active.remove(i)
+                    continue
+                blocking = [(los[j], his[j]) for j in blockers[i]]
+                first = _first_hit(lo, hi, allowed, src_side, blocking)
+                # The unit round's bisection, where hits() at mid is mid >= first.
                 feasible, infeasible = 0.0, allowed
                 for _ in range(60):
                     mid = 0.5 * (feasible + infeasible)
-                    if hits(i, _grow_interval(lo, hi, mid, src_side)):
+                    if mid >= first:
                         infeasible = mid
                     else:
                         feasible = mid
                 if feasible <= _EPS:
-                    active.discard(i)
+                    active.remove(i)
                     continue
-                grown = _grow_interval(lo, hi, feasible, src_side)
-            src[i][axis], src[i][axis + 2] = grown
+                new_lo, new_hi = _grow_interval(lo, hi, feasible, src_side)
+            elif allowed < GROWTH_STEP:
+                check = True
+            if new_lo == 0.0 != lo or new_hi == src_side != hi:
+                check = True  # newly pinned at a frame edge
+            los[i], his[i] = new_lo, new_hi
             moved(i)
+    for s, lo, hi in zip(src, los, his):
+        s[axis], s[axis + 2] = lo, hi
 
 
 def expand_greedy(plan: PackPlan, layout: Layout) -> PackPlan:
@@ -429,16 +545,15 @@ def expand_greedy(plan: PackPlan, layout: Layout) -> PackPlan:
     src into another slot's src, or when it spans the full source frame.
     Destination placement is recomputed flush afterwards.
 
-    Quiet runs of rounds skip only the bound checks: each round's float
-    operations still run once per slot, so plans stay bit-identical and the
-    cost grows with the pixels grown (hence MAX_FRAME_SIDE).
+    Plans are bit-identical to stepping every round, while the cost
+    follows events, not rounds (see _expand_axis).
     """
     src = [[s.src.x_min, s.src.y_min, s.src.x_max, s.src.y_max] for s in plan.slots]
     for axis in (layout.axis, 1 - layout.axis):
         _expand_axis(src, axis, layout, plan.dest.side, plan.source.side)
     # Rounding may leave a dst ~1e-9 past the frame; that still fits.
     slots, _ = _flush_slots([Rect(*b) for b in src], layout)
-    return replace(plan, slots=slots)
+    return PackPlan(slots=slots, dest=plan.dest, method=plan.method, source=plan.source)
 
 
 def pack(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Optional[PackPlan]:

@@ -179,6 +179,17 @@ class TestRun:
         assert ann.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.summary.json"]
 
+    @pytest.mark.parametrize("name", ["r.jsonl.tmp", "r.summary.json.tmp"])
+    def test_temporary_name_over_annotations_is_refused(self, tmp_path, capsys, name):
+        # Each output is first written to <output>.tmp and then moved over
+        # the output, which would consume an input of that name.
+        ann = gen(tmp_path, name=name, videos="2", frames="5")
+        before = ann.read_bytes()
+        assert self.run(ann, tmp_path / "r.jsonl") == 1
+        assert f"would write {ann} over the annotations file" in capsys.readouterr().err
+        assert ann.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["run", "x.jsonl", "--mode", "turbo", "--out", "y.jsonl"])
@@ -457,6 +468,23 @@ class TestStats:
         assert f"--out-dir . would write {name} over the annotations file" in capsys.readouterr().err
         assert ann.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    @pytest.mark.parametrize(
+        "name", ["occupancy_hist.csv", "temporal_iou_hist.csv", "stats_summary.json"]
+    )
+    def test_temporary_name_over_annotations_is_refused(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        tmp_name = f"{name}.tmp"
+        ann = gen(tmp_path, name=tmp_name, videos="2", frames="5")
+        before = ann.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", tmp_name, "--out-dir", "."]) == 1
+        assert f"--out-dir . would write {tmp_name} over the annotations file" in (
+            capsys.readouterr().err
+        )
+        assert ann.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [tmp_name]
 
     def test_single_frame_dataset_has_no_pairs(self, tmp_path):
         ann = tmp_path / "one.jsonl"

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import _grow_interval as reference_grow_interval
 from oracles import brute_components, reference_pack
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import (
@@ -11,6 +14,8 @@ from roipack.packing import (
     PackMethod,
     PackPlan,
     PackSlot,
+    _first_hit,
+    _repeat_add,
     choose_layout,
     connected_components,
     expand_greedy,
@@ -334,6 +339,98 @@ class TestExpandMatchesReference:
         plan = pack(boxes, SRC, DST)
         assert plan == reference_pack(boxes, SRC, DST)
         assert plan.slots[1].src == Rect(3.999999999999986, 70.0, 150.0, 142.0)
+
+
+def rois_at_side(rng, side, n):
+    """n ROIs in a source frame of the given side: 40% snapped to a grid of
+    sixteenths, so that neighbours share edges, and 20% moved flush against
+    a frame edge."""
+    cell = side / 16.0
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.4:
+            x0, y0 = (int(v) for v in rng.integers(0, 15, size=2))
+            x1, y1 = (min(16, v + int(rng.integers(1, 5))) for v in (x0, y0))
+            x0, y0, x1, y1 = (side if v == 16 else v * cell for v in (x0, y0, x1, y1))
+        else:
+            w, h = (side * float(np.exp(rng.uniform(np.log(0.013), np.log(0.53)))) for _ in "wh")
+            x0, y0 = float(rng.uniform(0.0, side - w)), float(rng.uniform(0.0, side - h))
+            x1, y1 = x0 + w, y0 + h
+        if rng.random() < 0.2:
+            if rng.random() < 0.5:
+                x0, x1 = (0.0, x1 - x0) if rng.random() < 0.5 else (side - (x1 - x0), side)
+            else:
+                y0, y1 = (0.0, y1 - y0) if rng.random() < 0.5 else (side - (y1 - y0), side)
+        out.append(Rect(x0, y0, x1, y1))
+    return out
+
+
+class TestExpandEventsMatchReference:
+    """The per-event arithmetic (the freeze test, the exact collision point
+    and one addition per quiet run) at source sides where hi crosses powers
+    of two during quiet runs, with boxes that touch on a grid or sit flush
+    against a frame edge."""
+
+    @pytest.mark.parametrize("side, cases", [(97.3, 600), (1000.0, 150), (4096.0, 40)])
+    def test_fuzz_plans_identical(self, side, cases):
+        rng = np.random.default_rng(int(side * 10))
+        source, dest = FrameSpec(side), FrameSpec(side / 2.0)
+        packed = 0
+        for case in range(cases):
+            boxes = rois_at_side(rng, side, int(rng.integers(1, 7)))
+            plan = pack(boxes, source, dest)
+            ref = reference_pack(boxes, source, dest)
+            assert (plan is None) == (ref is None), case
+            if plan is not None:
+                packed += 1
+                assert same_plan(plan, ref), (case, boxes)
+        assert packed > cases // 4
+
+    def test_repeat_add_equals_sequential_additions(self):
+        rounded = 0
+        for m in (0, 1, 7, 10, 12, 16):
+            top = 2.0**m
+            for step in (0.5, 1.0):
+                for x in (math.nextafter(top, 0.0), top - 0.3, top - 3 * step - 1e-7):
+                    if x <= 0.0:
+                        continue
+                    for k in (0, 1, 2, 3, 7, 100, 1000, 10_000):
+                        y = x
+                        for _ in range(k):
+                            y += step
+                        assert _repeat_add(x, step, k) == y, (x, step, k)
+                        rounded += x + k * step != y
+        # Some runs cross more than one power of two, and there a single
+        # closed-form addition rounds differently from the k additions.
+        assert rounded
+
+    def test_first_hit_is_the_least_float_growth_that_hits(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(3000):
+            side = float(rng.choice([97.3, 300.0, 4096.0, 65536.0]))
+            lo, hi = sorted(float(v) for v in rng.uniform(0.0, side, size=2))
+            if rng.random() < 0.2:
+                lo, hi = (0.0, hi) if rng.random() < 0.5 else (lo, side)
+            blocking = []
+            for _ in range(int(rng.integers(1, 3))):
+                gap = float(np.exp(rng.uniform(np.log(1e-9), np.log(side / 4))))
+                if rng.random() < 0.5 and hi + gap < side:
+                    blocking.append((hi + gap, float(rng.uniform(hi + gap, side)) + 1e-9))
+                elif lo - gap > 0.0:
+                    blocking.append((float(rng.uniform(0.0, lo - gap)) - 1e-9, lo - gap))
+            allowed = lo + (side - hi)
+
+            def hits(g):
+                grown_lo, grown_hi = reference_grow_interval(lo, hi, g, side)
+                return any(grown_lo < b_hi and b_lo < grown_hi for b_lo, b_hi in blocking)
+
+            if not blocking or hits(1e-9) or not hits(allowed):
+                continue
+            first = _first_hit(lo, hi, allowed, side, blocking)
+            assert hits(first) and not hits(math.nextafter(first, 0.0)), (lo, hi, side, blocking)
+            checked += 1
+        assert checked > 1000
 
 
 def transposed(r):
