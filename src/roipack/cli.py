@@ -125,13 +125,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         num_classes=args.classes,
     )
     video_seeds = np.random.SeedSequence(args.seed).generate_state(args.videos)
-    videos = {
-        f"v{idx:04d}": gen_synthetic(replace(base, seed=int(seed)))
-        for idx, seed in enumerate(video_seeds)
-    }
-    write_annotations(args.out, videos, frame_spec)
-    total = sum(len(frames) for frames in videos.values())
-    print(f"wrote {total} frames across {len(videos)} videos to {args.out}")
+    total = 0
+
+    def videos():
+        # Each video is written while the next one is generated.
+        nonlocal total
+        for idx, seed in enumerate(video_seeds):
+            frames = gen_synthetic(replace(base, seed=int(seed)))
+            total += len(frames)
+            yield f"v{idx:04d}", frames
+
+    write_annotations(args.out, videos(), frame_spec)
+    print(f"wrote {total} frames across {args.videos} videos to {args.out}")
     return 0
 
 

@@ -12,15 +12,25 @@ their plan in working-frame pixels. Annotation lines and result lines share
 one frame encoder, `_frame_entry`, and one writer, `write_jsonl`.
 
 Every file is written to `<path>.tmp` and moved over `path` once complete.
-`write_jsonl` encodes and writes each record as its iterable yields it, so
-a caller can stream records that are made one at a time; a failure while
-producing them leaves neither a partial file nor the temporary one.
+`write_jsonl` takes each record as its iterable yields it and hands it, in
+batches, to a helper process that encodes it as JSON and writes it, so a
+caller can stream records that are made one at a time while the encoding
+runs on another CPU; a failure while producing them leaves neither a
+partial file nor the temporary one.
 """
 
+import builtins
 import json
+import marshal
 import os
+import signal
 from contextlib import contextmanager, suppress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
+
+try:
+    from fcntl import F_SETPIPE_SZ, fcntl
+except ImportError:  # F_SETPIPE_SZ is Linux-only
+    F_SETPIPE_SZ = None
 
 from .costmodel import FrameDecision
 from .geometry import FrameSpec, Rect
@@ -68,10 +78,11 @@ def _frame_entry(video: str, frame: GroundTruthFrame, side: float) -> dict:
 
 
 def write_annotations(
-    path: str, videos: Mapping[str, Sequence[GroundTruthFrame]], frame_spec: FrameSpec
+    path: str, videos: Iterable[tuple[str, Sequence[GroundTruthFrame]]], frame_spec: FrameSpec
 ):
+    """Write each (name, frames) pair's frames as it is yielded."""
     side = frame_spec.side
-    write_jsonl(path, (_frame_entry(name, f, side) for name in videos for f in videos[name]))
+    write_jsonl(path, (_frame_entry(name, f, side) for name, frames in videos for f in frames))
 
 
 def _parse_object(raw: object, side: float, where: str) -> GtObject:
@@ -87,12 +98,17 @@ def _parse_object(raw: object, side: float, where: str) -> GtObject:
     for v in coords:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise AnnotationError(f"{where}: coordinates must be numbers")
-        if not 0.0 <= float(v) <= 1.0:
+        # Compared as given: float() of a long integer overflows.
+        if not 0 <= v <= 1:
             raise AnnotationError(f"{where}: coordinate {v} outside [0, 1]")
     x0, y0, x1, y1 = (float(v) for v in coords)
-    if x0 >= x1 or y0 >= y1:
-        raise AnnotationError(f"{where}: empty box ({x0}, {y0}, {x1}, {y1})")
-    return GtObject(class_id, Rect(x0 * side, y0 * side, x1 * side, y1 * side))
+    # Tested after scaling, where two close coordinates can round together.
+    rect = (x0 * side, y0 * side, x1 * side, y1 * side)
+    if rect[0] >= rect[2] or rect[1] >= rect[3]:
+        raise AnnotationError(
+            f"{where}: empty box ({x0}, {y0}, {x1}, {y1}) at frame side {side:g}"
+        )
+    return GtObject(class_id, Rect(*rect))
 
 
 def read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, list[GroundTruthFrame]]:
@@ -111,6 +127,8 @@ def read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, list[GroundT
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise AnnotationError(f"{where}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:  # too many digits, too deep
+                raise AnnotationError(f"{where}: unreadable JSON ({exc})") from None
             if not isinstance(record, dict):
                 raise AnnotationError(f"{where}: record must be a JSON object")
             video = record.get("video")
@@ -177,11 +195,132 @@ def result_record(
     return record
 
 
+_BATCH = 64  # records per message to the encoder process
+_PIPE_BYTES = 1 << 20  # pipe capacity asked for, so the producer seldom waits
+
+
+def _batches(records: Iterable) -> Iterator[list]:
+    """Lists of up to _BATCH records, each taken as marshal bytes the moment
+    it is yielded. marshal takes only exact built-in types where json also
+    takes their subclasses, so a record marshal refuses is encoded here
+    instead, and json's own TypeError names what neither can encode."""
+    batch = []
+    for record in records:
+        try:
+            batch.append(marshal.dumps(record))
+        except ValueError:
+            batch.append(json.dumps(record) + "\n")
+        if len(batch) == _BATCH:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
+
+
+def _encode(batches: Iterable[list], fh) -> None:
+    """The encoder loop: one JSON line per record."""
+    for batch in batches:
+        for item in batch:
+            fh.write(item if type(item) is str else json.dumps(marshal.loads(item)) + "\n")
+
+
+def _send(pipe, batch: list) -> bool:
+    """Write one length-prefixed batch; False once the encoder has gone."""
+    payload = marshal.dumps(batch)
+    view = memoryview(len(payload).to_bytes(8, "little") + payload)
+    try:
+        while view:
+            view = view[pipe.write(view):]
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _received(fd: int) -> Iterator[list]:
+    """The batches `_send` wrote, until the pipe is closed. Each is read
+    whole: marshal.load would read a pipe object by object."""
+    with open(fd, "rb") as pipe:
+        while header := pipe.read(8):
+            yield marshal.loads(pipe.read(int.from_bytes(header, "little")))
+
+
+def _encoder_child(fh, data_r: int, report_w: int, parent_ends: tuple) -> None:
+    """The forked encoder: write what the pipe brings into `fh` and report a
+    failure as its exception's (name, args). It leaves only through os._exit, so
+    it never returns into the caller's frames, runs their `finally` blocks
+    or flushes the stdio buffers it inherited."""
+    status = 1
+    try:
+        for fd in parent_ends:
+            os.close(fd)
+        _encode(_received(data_r), fh)
+        fh.flush()
+        status = 0
+    except Exception as exc:
+        with suppress(OSError):
+            os.write(report_w, marshal.dumps((type(exc).__name__, exc.args)))
+    finally:
+        os._exit(status)
+
+
+def _encode_in_child(batches: Iterable[list], fh) -> None:
+    """Run `_encode` in a forked process that writes into `fh`, feed it the
+    batches over a pipe, and reap it however this ends."""
+    data_r, data_w = os.pipe()
+    report_r, report_w = os.pipe()
+    if F_SETPIPE_SZ is not None:
+        with suppress(OSError):  # above the system's limit: keep the default
+            fcntl(data_w, F_SETPIPE_SZ, _PIPE_BYTES)
+    with open(report_r, "rb") as report, open(data_w, "wb", buffering=0) as pipe:
+        # SIGINT is blocked across the fork and stays blocked in the child
+        # for its whole life: an interrupt stops this process, which then
+        # ends the child.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pid = os.fork()
+        except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(data_r)
+            os.close(report_w)
+            raise
+        if pid == 0:
+            _encoder_child(fh, data_r, report_w, (data_w, report_r))
+        os.close(data_r)
+        os.close(report_w)
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for batch in batches:
+                if not _send(pipe, batch):
+                    break  # the encoder failed; its report says why
+            pipe.close()
+            failure = report.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if failure:  # json, marshal and file writes raise only built-in exceptions
+        name, args = marshal.loads(failure)
+        raise getattr(builtins, name)(*args)
+    if status:
+        raise OSError(f"JSON encoder process ended with wait status {status}")
+
+
 def write_jsonl(path: str, records: Iterable[dict]):
-    """Write one JSON line per record, each as soon as it is yielded."""
+    """Write one JSON line per record, in the order yielded.
+
+    Each record is taken as soon as it is yielded, so the caller may reuse
+    or drop it. A helper process forked for the call encodes the records,
+    in batches, and writes the file while the caller goes on making the
+    next ones; where `os.fork` does not exist the same loop runs here. A
+    record json cannot encode raises TypeError, and any failure, in either
+    process, leaves neither a partial file nor the temporary one. On Python
+    3.12 and later the fork warns (DeprecationWarning) when numpy's OpenBLAS
+    pool has started threads; the helper calls no numpy, so this is harmless.
+    """
     with replacing(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+        encode = _encode_in_child if hasattr(os, "fork") else _encode
+        encode(_batches(records), fh)
 
 
 def write_json(path: str, payload: dict):

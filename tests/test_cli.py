@@ -1,10 +1,16 @@
 import gc
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import roipack
 from roipack import cli
 from roipack.cli import main
 from roipack.formats import read_annotations
@@ -294,6 +300,82 @@ class TestNumberArguments:
             main(["run", "x.jsonl", "--seed", "seven", "--out", "y.jsonl"])
         assert err.value.code == 2
         assert "invalid int value: 'seven'" in capsys.readouterr().err
+
+
+class TestUnreadableAnnotationValues:
+    """Values that parse as JSON numbers yet fail later, or not at all."""
+
+    LINES = {
+        # Valid when normalized, but x0 and x1 round together at side 300.
+        "collapsing box": '{"video": "v", "frame": 0, "objects": [{"class": 0, '
+        '"x0": 0.4765969541523558, "y0": 0.1, "x1": 0.47659695415235587, "y1": 0.5}]}',
+        "long integer coordinate": '{"video": "v", "frame": 0, "objects": [{"class": 0, '
+        f'"x0": 1{"0" * 399}, "y0": 0.1, "x1": 0.5, "y1": 0.5}}]}}',
+        "frame id past the digit limit": f'{{"video": "v", "frame": {"1" * 5000}, "objects": []}}',
+        "nesting past the recursion limit": '{"video": "v", "frame": 0, "objects": '
+        f'{"[" * 100_000}{"]" * 100_000}}}',
+    }
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    @pytest.mark.parametrize("line", LINES.values(), ids=LINES)
+    def test_exit_1_naming_the_line(self, tmp_path, capsys, command, line):
+        ann = tmp_path / "bad.jsonl"
+        ann.write_text(line + "\n")
+        if command == "run":
+            argv = ["run", str(ann), "--out", str(tmp_path / "out.jsonl")]
+        else:
+            argv = ["stats", str(ann), "--out-dir", str(tmp_path / "stats")]
+        assert main(argv) == 1
+        assert "bad.jsonl: line 1: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestNoProcessOutlivesACommand:
+    def test_after_gen_and_run(self, tmp_path):
+        ann = gen(tmp_path)
+        no_child_left()
+        assert main(["run", str(ann), "--out", str(tmp_path / "out.jsonl")]) == 0
+        no_child_left()
+
+    def test_after_a_failed_run(self, tmp_path, failing):
+        ann = gen(tmp_path)
+        with pytest.raises(RuntimeError, match="detector failed"):
+            main(["run", str(ann), "--out", str(tmp_path / "out.jsonl")])
+        no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+    def test_after_an_interrupt(self, tmp_path):
+        ann = gen(tmp_path, videos="250", frames="20", min_objects="4", max_objects="8",
+                  occupancy="0.35")
+        tmp = tmp_path / "out.jsonl.tmp"
+        env = {**os.environ, "PYTHONPATH": str(Path(roipack.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        # Its own process group, so that the interrupt reaches every process
+        # of the command, as a terminal's Ctrl-C does.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "roipack", "run", str(ann), "--out", str(tmp_path / "out.jsonl")],
+            env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not tmp.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.005)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert "KeyboardInterrupt" in err  # the interrupt came while the run went on
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
 
 
 class FailingDetector(SimulatedDetector):

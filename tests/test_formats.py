@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 
+import roipack
 from roipack.costmodel import FrameDecision
 from roipack.formats import (
     AnnotationError,
@@ -42,14 +48,14 @@ class TestRoundTrip:
             "brisk": [frame_of(0, Rect(75, 0, 225, 75), Rect(0, 0, 37.5, 37.5))],
         }
         path = tmp_path / "ann.jsonl"
-        write_annotations(str(path), videos, FRAME)
+        write_annotations(str(path), videos.items(), FRAME)
         back = read_annotations(str(path), FRAME)
         assert back == videos
 
     def test_close_for_arbitrary_coordinates(self, tmp_path):
         videos = {"v": [frame_of(0, Rect(12.34, 56.78, 91.01, 112.13))]}
         path = tmp_path / "ann.jsonl"
-        write_annotations(str(path), videos, FRAME)
+        write_annotations(str(path), videos.items(), FRAME)
         (obj,) = read_annotations(str(path), FRAME)["v"][0].objects
         want = videos["v"][0].objects[0].rect
         assert obj.rect.x_min == pytest.approx(want.x_min, abs=1e-9)
@@ -249,3 +255,119 @@ class TestWriters:
         with pytest.raises(TypeError):
             write_json(str(tmp_path / "new.json"), {"a": object()})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Level(IntEnum):
+    HIGH = 2
+
+
+# json also writes subclasses of its types, which marshal does not carry.
+VARIED = [
+    {"video": "v\u00e9", "frame": 3, "objects": [], "x": -0.0, "y": 1e-310, "z": 0.1},
+    {"nested": [[1, 2.5], (3, None)], "flag": True, 7: "int key", 2.5: "float key"},
+    {"big": 10**40, "nan": float("nan"), "inf": float("-inf"), "tuple": ()},
+    OrderedDict(a=1, b=[OrderedDict(c=Level.HIGH)]),
+    "a bare string",
+    [1, "list record"],
+]
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def encoder(request, monkeypatch):
+    if request.param == "in-process":
+        monkeypatch.delattr(os, "fork")
+    elif not hasattr(os, "fork"):
+        pytest.skip("no os.fork here")
+    return request.param
+
+
+class TestEncoderProcess:
+    def test_bytes_are_json_lines_in_either_process(self, tmp_path, encoder):
+        records = VARIED * 50  # several batches
+        path = tmp_path / "out.jsonl"
+        write_jsonl(str(path), records)
+        assert path.read_text() == "".join(json.dumps(r) + "\n" for r in records)
+
+    def test_records_are_taken_as_they_are_yielded(self, tmp_path, encoder):
+        def records():
+            record = {"i": 0}
+            for i in range(3):
+                record["i"] = i
+                yield record
+
+        path = tmp_path / "out.jsonl"
+        write_jsonl(str(path), records())
+        assert path.read_text() == '{"i": 0}\n{"i": 1}\n{"i": 2}\n'
+
+    def test_encoder_side_failure_raises_type_error(self, tmp_path, encoder):
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+        # marshal carries a set; json refuses it where the records are encoded.
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            write_jsonl(str(path), [{"a": 1}, {"s": {1, 2}}])
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+    def test_encoder_failure_stops_the_producer_early(self, tmp_path):
+        taken = []
+
+        def records():
+            yield {"s": {1}}
+            for i in range(100_000):
+                taken.append(i)
+                yield {"pad": "x" * 1000, "i": i}
+
+        with pytest.raises(TypeError):
+            write_jsonl(str(tmp_path / "out.jsonl"), records())
+        assert len(taken) < 100_000
+        assert list(tmp_path.iterdir()) == []
+        no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_encoder_write_error_is_raised_with_its_errno(self, tmp_path):
+        (tmp_path / "out.jsonl.tmp").symlink_to("/dev/full")
+        with pytest.raises(OSError) as err:
+            write_jsonl(str(tmp_path / "out.jsonl"), [{"a": 1}])
+        assert err.value.errno == 28  # ENOSPC
+        assert list(tmp_path.iterdir()) == []
+        no_child_left()
+
+    @pytest.mark.parametrize("ending", ["success", "producer error", "interrupt"])
+    def test_the_encoder_process_is_always_reaped(self, tmp_path, ending):
+        def records():
+            for i in range(300):
+                yield {"i": i}
+            if ending == "producer error":
+                raise RuntimeError("producer failed")
+            if ending == "interrupt":
+                raise KeyboardInterrupt
+
+        path = tmp_path / "out.jsonl"
+        if ending == "success":
+            write_jsonl(str(path), records())
+            assert len(path.read_text().splitlines()) == 300
+        else:
+            with pytest.raises((RuntimeError, KeyboardInterrupt)):
+                write_jsonl(str(path), records())
+            assert list(tmp_path.iterdir()) == []
+        no_child_left()
+
+    def test_unflushed_stdout_is_written_once(self, tmp_path):
+        code = (
+            "from roipack.formats import write_jsonl\n"
+            "print('before', end='')\n"
+            f"write_jsonl({str(tmp_path / 'out.jsonl')!r}, [{{'a': 1}}] * 200)\n"
+            "print(' after', end='')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(roipack.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "before after"
+        assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 200
