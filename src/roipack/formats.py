@@ -245,10 +245,10 @@ def _received(fd: int) -> Iterator[list]:
 
 
 def _encoder_child(fh, data_r: int, report_w: int, parent_ends: tuple) -> None:
-    """The forked encoder: write what the pipe brings into `fh` and report a
-    failure as its exception's (name, args). It leaves only through os._exit, so
-    it never returns into the caller's frames, runs their `finally` blocks
-    or flushes the stdio buffers it inherited."""
+    """The forked encoder: write what the pipe brings into `fh` and report
+    a failure as its exception's (name, args). It leaves only through
+    os._exit, so it never returns into the caller's frames, runs their
+    `finally` blocks or flushes the stdio buffers it inherited."""
     status = 1
     try:
         for fd in parent_ends:
