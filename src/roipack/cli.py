@@ -108,11 +108,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_overwrite(option: str, paths, annotations=None) -> None:
+    """Raise, before anything is read or generated, if an output path or the
+    temporary name it is first written under is a directory or the input."""
+    for path in paths:
+        for target in (path, temporary(path)):
+            if os.path.isdir(target):
+                raise ValueError(f"{option} would write {target} over a directory")
+            if annotations is None:
+                continue
+            with suppress(OSError):  # an output that does not exist yet is fine
+                if os.path.samefile(target, annotations):
+                    raise ValueError(f"{option} would write {target} over the annotations file")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.max_objects < args.min_objects:
         raise ValueError("--max-objects must be >= --min-objects")
     if args.velocity_max < args.velocity_min:
         raise ValueError("--velocity-max must be >= --velocity-min")
+    _refuse_overwrite(f"--out {args.out}", (args.out,))
     frame_spec = FrameSpec(args.full_size)
     base = SyntheticParams(
         num_objects=(args.min_objects, args.max_objects),
@@ -140,19 +155,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refuse_overwrite(annotations: str, option: str, paths) -> None:
-    """Raise, before anything is read, if an output path or the temporary
-    name it is first written under is the input."""
-    for path in paths:
-        for target in (path, temporary(path)):
-            with suppress(OSError):  # an output that does not exist yet is fine
-                if os.path.samefile(target, annotations):
-                    raise ValueError(f"{option} would write {target} over the annotations file")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     summary_path = str(Path(args.out).with_suffix("")) + ".summary.json"
-    _refuse_overwrite(args.annotations, f"--out {args.out}", (args.out, summary_path))
+    _refuse_overwrite(f"--out {args.out}", (args.out, summary_path), args.annotations)
     s1 = FrameSpec(args.full_size)
     s2 = FrameSpec(args.reduced_size)
     videos = read_annotations(args.annotations, s1)
@@ -221,7 +226,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     names = ("occupancy_hist.csv", "temporal_iou_hist.csv", "stats_summary.json")
     occ_path, iou_path, summary_path = outputs = [str(out_dir / name) for name in names]
-    _refuse_overwrite(args.annotations, f"--out-dir {args.out_dir}", outputs)
+    _refuse_overwrite(f"--out-dir {args.out_dir}", outputs, args.annotations)
     frame_spec = FrameSpec(args.full_size)
     videos = read_annotations(args.annotations, frame_spec)
     if not videos:

@@ -86,6 +86,32 @@ def write_annotations(
 
 
 def _parse_object(raw: object, side: float, where: str) -> GtObject:
+    # A well-formed entry (an exact int class, four exact floats in [0, 1]
+    # and a nonempty box after scaling) is accepted here; float(v) of a
+    # float is v, so the box is the one the checks below would build.
+    if type(raw) is dict:
+        class_id = raw.get("class")
+        x0, y0, x1, y1 = raw.get("x0"), raw.get("y0"), raw.get("x1"), raw.get("y1")
+        if (
+            type(class_id) is int
+            and class_id >= 0
+            and type(x0) is float
+            and type(y0) is float
+            and type(x1) is float
+            and type(y1) is float
+            and 0.0 <= x0 <= 1.0
+            and 0.0 <= y0 <= 1.0
+            and 0.0 <= x1 <= 1.0
+            and 0.0 <= y1 <= 1.0
+        ):
+            x0 *= side
+            y0 *= side
+            x1 *= side
+            y1 *= side
+            if x0 < x1 and y0 < y1:
+                return GtObject(class_id, Rect(x0, y0, x1, y1))
+    # Anything else goes through every rule, and the first one broken is
+    # the one reported.
     if not isinstance(raw, dict):
         raise AnnotationError(f"{where}: object entry must be a JSON object")
     try:
@@ -116,8 +142,13 @@ def read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, list[GroundT
 
     Frames keep file order per video and must carry strictly increasing
     frame ids. Any malformed line raises AnnotationError naming the line.
+    Each object is first tried against exact types (an int class, float
+    coordinates) with plain comparisons, which accept a well-formed entry
+    without a call per rule; only an entry that fails them goes through
+    the full checks, which name the first rule it breaks.
     """
     videos: dict[str, list[GroundTruthFrame]] = {}
+    side = frame_spec.side
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -140,9 +171,7 @@ def read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, list[GroundT
                 raise AnnotationError(f"{where}: 'frame' must be a nonnegative integer")
             if not isinstance(objects, list):
                 raise AnnotationError(f"{where}: 'objects' must be a list")
-            parsed = tuple(
-                _parse_object(raw, frame_spec.side, where) for raw in objects
-            )
+            parsed = tuple([_parse_object(raw, side, where) for raw in objects])
             frames = videos.setdefault(video, [])
             if frames and frame_id <= frames[-1].frame_id:
                 raise AnnotationError(

@@ -122,18 +122,31 @@ def iou(a: Rect, b: Rect) -> float:
 def enclosing(rects: Iterable[Rect]) -> Rect:
     """Smallest rect containing every input rect.
 
+    Each coordinate is the first extreme value in input order, as min() and
+    max() would pick it, so of 0.0 and -0.0 the earlier one is kept.
+
     Raises:
         ValueError: if `rects` is empty.
     """
-    boxes = list(rects)
-    if not boxes:
+    boxes = iter(rects)
+    first = next(boxes, None)
+    if first is None:
         raise ValueError("enclosing() needs at least one rect")
-    return Rect(
-        min(r.x_min for r in boxes),
-        min(r.y_min for r in boxes),
-        max(r.x_max for r in boxes),
-        max(r.y_max for r in boxes),
-    )
+    x0, y0, x1, y1 = first.x_min, first.y_min, first.x_max, first.y_max
+    for r in boxes:
+        v = r.x_min
+        if v < x0:
+            x0 = v
+        v = r.y_min
+        if v < y0:
+            y0 = v
+        v = r.x_max
+        if v > x1:
+            x1 = v
+        v = r.y_max
+        if v > y1:
+            y1 = v
+    return Rect(x0, y0, x1, y1)
 
 
 def union_area(rects: Sequence[Rect]) -> float:

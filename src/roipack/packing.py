@@ -24,6 +24,13 @@ of quiet rounds, in which every growing slot just takes its full unit, is
 replayed with one float addition per power of two crossed, and a collision
 is settled from the exact float growth at which the slot first hits.
 
+The overlap merge is loaded hardest where frames are crowded, so its loops
+work on flat values: `connected_components` reads each box's coordinates
+once into a tuple, tests overlap inline and keeps each component's label as
+a list of smallest member indices, and `enclosing` keeps running extremes.
+Ties resolve as min() and max() resolve them, so the boxes are bit-identical
+to a merge built on `intersects` and generator min()/max().
+
 A naive baseline packer is included for comparison: each ROI is expanded by
 a fixed factor and rescaled into a fixed grid cell, which distorts aspect
 ratios and provides little context.
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .geometry import FrameSpec, Rect, enclosing, intersects
+from .geometry import FrameSpec, Rect, enclosing
 
 MAX_SLOTS = 4
 
@@ -129,40 +136,30 @@ class PackPlan:
     source: FrameSpec
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def connected_components(rects: Sequence[Rect]) -> list[list[int]]:
     """Partition box indices into components of the intersection graph.
 
     Two boxes are adjacent when they strictly overlap. Components are
     returned sorted by their smallest member index, members ascending.
     """
-    n = len(rects)
-    uf = _UnionFind(n)
-    for i in range(n):
+    boxes = [(r.x_min, r.y_min, r.x_max, r.y_max) for r in rects]
+    n = len(boxes)
+    # label[i] is the smallest index of the component i is known to be in,
+    # so the first index carrying a label is the label itself.
+    label = list(range(n))
+    for i, (ax0, ay0, ax1, ay1) in enumerate(boxes):
         for j in range(i + 1, n):
-            if intersects(rects[i], rects[j]):
-                uf.union(i, j)
+            bx0, by0, bx1, by1 = boxes[j]
+            if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
+                keep, drop = label[i], label[j]
+                if keep != drop:
+                    if drop < keep:
+                        keep, drop = drop, keep
+                    label = [keep if k == drop else k for k in label]
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    return [groups[root] for root in sorted(groups)]
+    for i, k in enumerate(label):
+        groups.setdefault(k, []).append(i)
+    return list(groups.values())
 
 
 def merge_overlaps(rects: Sequence[Rect]) -> list[Rect]:
@@ -170,6 +167,9 @@ def merge_overlaps(rects: Sequence[Rect]) -> list[Rect]:
 
     Merging two boxes can create new overlaps with their neighbours, so the
     component merge repeats until a round leaves the box count unchanged.
+    Each round keeps the components' order and their members' order, which
+    decides which of two equal coordinates (0.0 and -0.0) a merged box
+    keeps.
     """
     boxes = list(rects)
     while True:

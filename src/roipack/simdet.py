@@ -24,6 +24,14 @@ reuses the same frame ids and object indices, so they are memoized per
 (seed, frame_id, object index) in a bounded cache instead of building a
 generator per detected object.
 
+A full view reports every object, and it is the view most frames of a
+crowded run fall back to, so its loop reads the noise knobs and the frame
+once per call and computes each object's confidence and jittered, clipped
+box inline. Each min() and max() of `base_confidence` and `_jittered`
+becomes a conditional that keeps its argument order, so that ties (0.0
+against -0.0) resolve as the calls resolve them and the detections are
+bit-identical; the reduced view calls those helpers.
+
 The generator emits square-frame videos whose per-video union occupancy is
 drawn from a sparse/heavy scene mixture averaging the requested mean;
 objects move with constant velocity plus jitter and reflect off frame
@@ -180,13 +188,37 @@ def oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[D
     """
     out: list[Detection] = []
     if isinstance(view, FullView):
-        bounds = view.frame.bounds
+        # base_confidence and _jittered (clip bounds 0 and the side) written
+        # out with each min/max as the conditional that keeps its ties.
+        seed, frame_id, sigma = noise.seed, gt.frame_id, noise.loc_sigma
+        intercept, gain = noise.base_conf
+        side, frame_area = view.frame.side, view.frame.area
+        sqrt = math.sqrt
         for idx, obj in enumerate(gt.objects):
-            z, _ = _detect_draws(noise.seed, gt.frame_id, idx)
-            conf = base_confidence(noise, obj.rect.area / view.frame.area)
-            rect = _jittered(obj.rect, noise.loc_sigma, noise.loc_sigma, z, bounds)
-            if rect is not None:
-                out.append(Detection(rect, obj.class_id, conf))
+            z0, z1, z2, z3 = _detect_draws(seed, frame_id, idx)[0]
+            rect = obj.rect
+            x0, y0, x1, y1 = rect.x_min, rect.y_min, rect.x_max, rect.y_max
+            frac = (x1 - x0) * (y1 - y0) / frame_area
+            conf = intercept + gain * sqrt(frac if frac > 0.0 else 0.0)
+            conf = conf if conf > 0.0 else 0.0
+            conf = conf if conf < 1.0 else 1.0
+            if sigma != 0.0:
+                x0 += sigma * z0
+                y0 += sigma * z1
+                x1 += sigma * z2
+                y1 += sigma * z3
+                x0 = 0.0 if 0.0 > x0 else x0
+                x0 = side if side < x0 else x0
+                y0 = 0.0 if 0.0 > y0 else y0
+                y0 = side if side < y0 else y0
+                x1 = 0.0 if 0.0 > x1 else x1
+                x1 = side if side < x1 else x1
+                y1 = 0.0 if 0.0 > y1 else y1
+                y1 = side if side < y1 else y1
+                if x1 - x0 <= 1e-6 or y1 - y0 <= 1e-6:
+                    continue
+                rect = Rect(x0, y0, x1, y1)
+            out.append(Detection(rect, obj.class_id, conf))
         return out
 
     plan = view.plan

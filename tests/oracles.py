@@ -11,6 +11,14 @@ expansion, stepped one round at a time. The package skips quiet rounds in
 bulk and must reproduce it bit for bit, so it shares the package's layout
 and placement helpers and differs only in the growth loop.
 
+Likewise reference_read_annotations is the annotation parser as it was
+before it tried exact types first, checking every rule of every object, and
+reference_merge_overlaps is the overlap merge as it was before it read each
+box's coordinates into locals: rounds of brute_components, each component
+replaced by a box of generator min()/max() over its members. The package
+must parse to equal frames or raise the identical message, and merge to
+bit-identical boxes.
+
 Likewise reference_oracle_detect is the simulated detector as it was before
 its per-object draws were memoized: it builds a fresh generator for every
 object, and the package must return equal detections. And
@@ -19,12 +27,14 @@ became one pass: it re-filters every detection and ground-truth box once per
 class and builds a Rect per IoU, and the package must report equal APs.
 """
 
+import json
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from roipack.evaluation import EvalReport, mean_average_precision
+from roipack.formats import AnnotationError
 from roipack.geometry import FrameSpec, Rect, intersection, iou
 from roipack.packing import (
     GROWTH_STEP,
@@ -34,7 +44,6 @@ from roipack.packing import (
     PackPlan,
     _flush_slots,
     choose_layout,
-    merge_overlaps,
     place_and_fit,
 )
 from roipack.pipeline import Detection, FullView, GroundTruthFrame, GtObject, View
@@ -114,6 +123,25 @@ def brute_components(rects):
         seen.update(members)
         comps.append(members)
     return comps
+
+
+def _reference_enclosing(rects: Sequence[Rect]) -> Rect:
+    return Rect(
+        min(r.x_min for r in rects),
+        min(r.y_min for r in rects),
+        max(r.x_max for r in rects),
+        max(r.y_max for r in rects),
+    )
+
+
+def reference_merge_overlaps(rects: Sequence[Rect]) -> list[Rect]:
+    """Merge rounds until no box overlaps another, by brute_components."""
+    boxes = list(rects)
+    while True:
+        comps = brute_components(boxes)
+        if len(comps) == len(boxes):
+            return boxes
+        boxes = [_reference_enclosing([boxes[i] for i in comp]) for comp in comps]
 
 
 def _overlaps(a: Rect, b: Rect) -> bool:
@@ -304,7 +332,7 @@ def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
     """pack() with reference_expand_greedy in place of expand_greedy."""
     if not rois:
         return None
-    merged = merge_overlaps(rois)
+    merged = reference_merge_overlaps(rois)
     if len(merged) > MAX_SLOTS:
         return None
     layout = choose_layout(merged)
@@ -312,6 +340,73 @@ def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
     if placed is None:
         return None
     return reference_expand_greedy(placed, layout)
+
+
+def _reference_parse_object(raw: object, side: float, where: str) -> GtObject:
+    if not isinstance(raw, dict):
+        raise AnnotationError(f"{where}: object entry must be a JSON object")
+    try:
+        class_id = raw["class"]
+        coords = [raw["x0"], raw["y0"], raw["x1"], raw["y1"]]
+    except KeyError as exc:
+        raise AnnotationError(f"{where}: object missing key {exc}") from None
+    if not isinstance(class_id, int) or isinstance(class_id, bool) or class_id < 0:
+        raise AnnotationError(f"{where}: class must be a nonnegative integer")
+    for v in coords:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise AnnotationError(f"{where}: coordinates must be numbers")
+        # Compared as given: float() of a long integer overflows.
+        if not 0 <= v <= 1:
+            raise AnnotationError(f"{where}: coordinate {v} outside [0, 1]")
+    x0, y0, x1, y1 = (float(v) for v in coords)
+    # Tested after scaling, where two close coordinates can round together.
+    rect = (x0 * side, y0 * side, x1 * side, y1 * side)
+    if rect[0] >= rect[2] or rect[1] >= rect[3]:
+        raise AnnotationError(
+            f"{where}: empty box ({x0}, {y0}, {x1}, {y1}) at frame side {side:g}"
+        )
+    return GtObject(class_id, Rect(*rect))
+
+
+def reference_read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, list[GroundTruthFrame]]:
+    """Parse an annotation file into per-video frame lists.
+
+    Frames keep file order per video and must carry strictly increasing
+    frame ids. Any malformed line raises AnnotationError naming the line.
+    """
+    videos: dict[str, list[GroundTruthFrame]] = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise AnnotationError(f"{where}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:  # too many digits, too deep
+                raise AnnotationError(f"{where}: unreadable JSON ({exc})") from None
+            if not isinstance(record, dict):
+                raise AnnotationError(f"{where}: record must be a JSON object")
+            video = record.get("video")
+            frame_id = record.get("frame")
+            objects = record.get("objects")
+            if not isinstance(video, str) or not video:
+                raise AnnotationError(f"{where}: 'video' must be a nonempty string")
+            if not isinstance(frame_id, int) or isinstance(frame_id, bool) or frame_id < 0:
+                raise AnnotationError(f"{where}: 'frame' must be a nonnegative integer")
+            if not isinstance(objects, list):
+                raise AnnotationError(f"{where}: 'objects' must be a list")
+            parsed = tuple(
+                _reference_parse_object(raw, frame_spec.side, where) for raw in objects
+            )
+            frames = videos.setdefault(video, [])
+            if frames and frame_id <= frames[-1].frame_id:
+                raise AnnotationError(
+                    f"{where}: frame ids must be strictly increasing per video"
+                )
+            frames.append(GroundTruthFrame(frame_id, parsed))
+    return videos
 
 
 def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[Detection]:

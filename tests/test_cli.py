@@ -335,6 +335,61 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def tree(root):
+    """Every path under root, relative, with each file's bytes."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in sorted(root.rglob("*"))
+    }
+
+
+class TestDirectoryAtAnOutputPath:
+    """A directory at an output path, or at the temporary name it is first
+    written under, stops the command before anything is read or generated."""
+
+    @pytest.fixture
+    def untouched(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read or generated before the outputs were checked")
+
+        monkeypatch.setattr(cli, "read_annotations", refuse)
+        monkeypatch.setattr(cli, "gen_synthetic", refuse)
+
+    @pytest.mark.parametrize(
+        "directory", ["r.jsonl", "r.jsonl.tmp", "r.summary.json", "r.summary.json.tmp"]
+    )
+    def test_run(self, tmp_path, capsys, directory, untouched):
+        ann = tmp_path / "a.jsonl"
+        ann.write_text(f'{{"video": "v", "frame": 0, "objects": [{OCC_HALF}]}}\n')
+        (tmp_path / directory).mkdir()
+        before = tree(tmp_path)
+        assert main(["run", str(ann), "--out", str(tmp_path / "r.jsonl")]) == 1
+        assert f"would write {tmp_path / directory} over a directory" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "directory", ["occupancy_hist.csv", "temporal_iou_hist.csv.tmp", "stats_summary.json"]
+    )
+    def test_stats(self, tmp_path, capsys, directory, untouched):
+        ann = tmp_path / "a.jsonl"
+        ann.write_text(f'{{"video": "v", "frame": 0, "objects": [{OCC_HALF}]}}\n')
+        (tmp_path / "sd" / directory).mkdir(parents=True)
+        before = tree(tmp_path)
+        assert main(["stats", str(ann), "--out-dir", str(tmp_path / "sd")]) == 1
+        err = capsys.readouterr().err
+        assert f"would write {tmp_path / 'sd' / directory} over a directory" in err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("directory", ["g.jsonl", "g.jsonl.tmp"])
+    def test_gen(self, tmp_path, capsys, directory, untouched):
+        (tmp_path / directory).mkdir()
+        before = tree(tmp_path)
+        argv = ["gen", "--videos", "2", "--frames", "5", "--out", str(tmp_path / "g.jsonl")]
+        assert main(argv) == 1
+        assert f"would write {tmp_path / directory} over a directory" in capsys.readouterr().err
+        assert tree(tmp_path) == before
+
+
 class TestNoProcessOutlivesACommand:
     def test_after_gen_and_run(self, tmp_path):
         ann = gen(tmp_path)

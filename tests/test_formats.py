@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,9 @@ from collections import OrderedDict
 from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_read_annotations
 
 import roipack
 from roipack.costmodel import FrameDecision
@@ -162,6 +166,108 @@ class TestReadErrors:
             '{"video": "v", "frame": 4, "objects": []}',
         )
         assert "increasing" in msg
+
+
+LONG_INT = 10**399  # 400 digits, under json's 4,300-digit limit
+EDGE_COORDS = [0, 1, 0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, LONG_INT, -LONG_INT,
+               True, False, None, "0.5", 1.0000000000000002, -5e-324, [0.5]]
+EDGE_CLASSES = [True, False, -1, 0.0, 1.5, "car", None, LONG_INT, -LONG_INT]
+
+@st.composite
+def valid_object_st(draw):
+    x0, x1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    y0, y1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    return {"class": draw(st.integers(0, 5)), "x0": x0, "y0": y0, "x1": x1, "y1": y1}
+
+
+@st.composite
+def rounding_together_st(draw):
+    """A box whose x edges are adjacent floats; at side 300 they can round
+    to the same pixel coordinate."""
+    x0 = draw(st.floats(0.0, 0.99))
+    return {"class": 0, "x0": x0, "y0": 0.25, "x1": math.nextafter(x0, 1.0), "y1": 0.75}
+
+
+@st.composite
+def edge_object_st(draw):
+    """A valid object with one entry replaced, a key removed or added, or
+    not an object at all."""
+    obj = draw(valid_object_st())
+    change = draw(st.sampled_from(["coord", "class", "drop", "extra", "not a dict"]))
+    if change == "coord":
+        obj[draw(st.sampled_from(["x0", "y0", "x1", "y1"]))] = draw(st.sampled_from(EDGE_COORDS))
+    elif change == "class":
+        obj["class"] = draw(st.sampled_from(EDGE_CLASSES))
+    elif change == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif change == "extra":
+        obj[draw(st.sampled_from(["score", "x2", "Class"]))] = draw(st.sampled_from(EDGE_COORDS))
+    else:
+        return draw(st.sampled_from([42, None, "object", [0.1, 0.1, 0.5, 0.5], True]))
+    return obj
+
+
+@st.composite
+def object_st(draw):
+    """Mostly valid objects, so that most files parse past their first line."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(edge_object_st())
+    if kind == 1:
+        return draw(rounding_together_st())
+    return draw(valid_object_st())
+
+
+# Records, each with a video name and a frame-id step; a step of 0 or -1
+# breaks the strictly increasing rule.
+record_st = st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([1, 1, 1, 1, 2, 3, 0, -1]),
+                      st.lists(object_st(), max_size=5))
+
+
+def parse_outcome(read, path):
+    """Frames as exact values (the type and bits of every number), or the
+    error message."""
+    try:
+        videos = read(str(path), FRAME)
+    except AnnotationError as exc:
+        return str(exc)
+    return [
+        (name, frame.frame_id, [
+            (type(o.class_id), o.class_id,
+             [(type(v), v.hex()) for v in (o.rect.x_min, o.rect.y_min, o.rect.x_max, o.rect.y_max)])
+            for o in frame.objects
+        ])
+        for name, frames in videos.items()
+        for frame in frames
+    ]
+
+
+class TestParseMatchesReference:
+    """read_annotations parses what reference_read_annotations parses, to
+    the same bits, and refuses the rest with the identical message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(record_st, max_size=6))
+    def test_same_frames_or_same_error(self, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        last = {}
+        lines = []
+        for video, step, objects in records:
+            last[video] = max(0, last.get(video, -1) + step)
+            lines.append(json.dumps({"video": video, "frame": last[video], "objects": objects}))
+        path.write_text("".join(line + "\n" for line in lines))
+        outcome = parse_outcome(read_annotations, path)
+        assert outcome == parse_outcome(reference_read_annotations, path)
+
+    @pytest.mark.parametrize("coord", EDGE_COORDS, ids=repr)
+    @pytest.mark.parametrize("key", ["x0", "y0", "x1", "y1"])
+    def test_each_edge_coordinate(self, tmp_path, key, coord):
+        obj = {"class": 1, "x0": 0.0, "y0": 0.25, "x1": 1.0, "y1": 0.75, key: coord}
+        path = tmp_path / "edge.jsonl"
+        path.write_text(json.dumps({"video": "v", "frame": 0, "objects": [obj]}) + "\n")
+        assert parse_outcome(read_annotations, path) == parse_outcome(
+            reference_read_annotations, path
+        )
 
 
 class TestResultRecords:

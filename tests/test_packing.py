@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import _grow_interval as reference_grow_interval
-from oracles import brute_components, reference_pack
+from oracles import brute_components, reference_merge_overlaps, reference_pack
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import (
     MAX_SLOTS,
@@ -69,6 +69,56 @@ class TestMergeOverlaps:
                                 and a.y_min < b.y_max and b.y_min < a.y_max)
             for box in boxes:
                 assert any(m.contains(box) for m in merged)
+
+
+def box_bits(boxes):
+    """Each coordinate's exact float, sign of zero included."""
+    return [tuple(v.hex() for v in (b.x_min, b.y_min, b.x_max, b.y_max)) for b in boxes]
+
+
+@st.composite
+def crowded_boxes(draw):
+    """Boxes on a small integer grid, so that edges touch, boxes repeat or
+    nest often, and any zero coordinate may be 0.0 or -0.0."""
+
+    def signed(v):
+        return -0.0 if v == 0 and draw(st.booleans()) else float(v)
+
+    boxes = []
+    for _ in range(draw(st.integers(0, 9))):
+        if boxes and draw(st.integers(0, 3)) == 0:
+            boxes.append(draw(st.sampled_from(boxes)))
+            continue
+        x0, y0 = draw(st.integers(-3, 4)), draw(st.integers(-3, 4))
+        x1, y1 = draw(st.integers(x0 + 1, 5)), draw(st.integers(y0 + 1, 5))
+        boxes.append(Rect(signed(x0), signed(y0), signed(x1), signed(y1)))
+    return boxes
+
+
+class TestMergeMatchesReference:
+    """merge_overlaps keeps the rounds of reference_merge_overlaps, and with
+    them which of 0.0 and -0.0 each merged box keeps."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(crowded_boxes())
+    def test_bit_identical_boxes(self, boxes):
+        assert box_bits(merge_overlaps(boxes)) == box_bits(reference_merge_overlaps(boxes))
+
+    def test_rounds_decide_the_sign_of_zero(self):
+        # Round 1 joins boxes 0 and 3 (x_min 5 and -0.0); box 1 (x_min 0.0)
+        # overlaps only their enclosing box and joins it in round 2, so the
+        # merged x_min is min(-0.0, 0.0) = -0.0. One min() over the members
+        # 0, 1, 3 would give min(5, 0.0, -0.0) = 0.0.
+        boxes = [
+            Rect(5.0, 0.0, 10.0, 6.0),
+            Rect(0.0, 3.0, 1.0, 5.0),
+            Rect(20.0, 20.0, 21.0, 21.0),
+            Rect(-0.0, 0.0, 6.0, 2.0),
+        ]
+        merged = merge_overlaps(boxes)
+        assert box_bits(merged) == box_bits(reference_merge_overlaps(boxes))
+        assert merged[0] == Rect(0.0, 0.0, 10.0, 6.0)
+        assert math.copysign(1.0, merged[0].x_min) == -1.0
 
 
 class TestConnectedComponents:

@@ -218,6 +218,18 @@ class TestSimulatedDetector:
             detector.detect(-1, FullView(FRAME))
 
 
+def detection_bits(detections):
+    """Each detection's exact floats, sign of zero included."""
+    return [
+        (
+            tuple(float(v).hex() for v in (d.rect.x_min, d.rect.y_min, d.rect.x_max, d.rect.y_max)),
+            d.class_id,
+            float(d.confidence).hex(),
+        )
+        for d in detections
+    ]
+
+
 def _detect_cases():
     """(frame, views) over two videos that share frame ids.
 
@@ -281,6 +293,48 @@ class TestDetectMatchesReference:
             for view in views:
                 assert oracle_detect(view, gt, noise) == reference_oracle_detect(view, gt, noise)
         assert _detect_draws.cache_info().hits > 0
+
+    @pytest.mark.parametrize("side", [300.0, 300])
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"loc_sigma": 0.0},
+            {"loc_sigma": 1.0},
+            {"loc_sigma": 5e-324},  # jitter rounds to +-0.0: max/min ties at 0.0 and -0.0
+            {"loc_sigma": 400.0},
+            {"base_conf": (-3.0, 1.0)},  # clips at 0
+            {"base_conf": (0.0, 0.0)},  # exactly 0
+            {"base_conf": (-0.0, -0.0)},  # -0.0, which the clip makes 0.0
+            {"base_conf": (0.9, 5.0)},  # clips at 1
+            {"base_conf": (0.2, -1.0)},  # a negative gain
+        ],
+        ids=repr,
+    )
+    def test_full_view_edge_cases(self, knobs, side):
+        frame = FrameSpec(side)
+        rects = [
+            Rect(0.0, 0.0, 40.0, 30.0),  # flush with the low edges
+            Rect(250.0, 260.0, 300.0, 300.0),  # flush with the high edges
+            Rect(-0.0, -0.0, 10.0, 10.0),
+            Rect(0.0, -0.0, 300.0, 300.0),  # the whole frame
+            Rect(120.0, 120.0, 120.0000005, 120.0000005),  # collapses under jitter
+            Rect(299.0, 0.0, 300.0, 1.0),  # a corner: large jitter clips it flat
+        ]
+        dropped = clipped_low = clipped_high = 0
+        for frame_id in range(40):
+            gt = gt_frame(frame_id, rects, classes=[0, 1, 2, 0, 1, 2])
+            noise = NoiseModel(seed=3, **knobs)
+            got = oracle_detect(FullView(frame), gt, noise)
+            assert detection_bits(got) == detection_bits(
+                reference_oracle_detect(FullView(frame), gt, noise)
+            )
+            dropped += len(rects) - len(got)
+            coords = [v for d in got for v in (d.rect.x_min, d.rect.y_min, d.rect.x_max, d.rect.y_max)]
+            clipped_low += coords.count(0.0)
+            clipped_high += coords.count(side)
+        if knobs.get("loc_sigma", 1.0) >= 1.0:
+            # Both clips fired and some boxes collapsed below 1e-6.
+            assert dropped and clipped_low and clipped_high
 
     def test_cache_stays_bounded(self):
         _detect_draws.cache_clear()
