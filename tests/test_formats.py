@@ -173,6 +173,7 @@ EDGE_COORDS = [0, 1, 0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, LONG_INT, -L
                True, False, None, "0.5", 1.0000000000000002, -5e-324, [0.5]]
 EDGE_CLASSES = [True, False, -1, 0.0, 1.5, "car", None, LONG_INT, -LONG_INT]
 
+
 @st.composite
 def valid_object_st(draw):
     x0, x1 = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
