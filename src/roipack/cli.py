@@ -1,10 +1,15 @@
 """Command line front end: generate data, run the pipeline, report stats.
 
 `run` streams each video's result records into the results file as soon as
-the video has run, keeps only what scoring needs, and scores all classes in
-one pass. Commands run with the cyclic garbage collector off: their data are
-acyclic (frozen dataclasses, tuples, dicts) that reference counting frees,
-so full collections would only re-walk a heap that grows with the input.
+the video has run, and matches each frame's detections to its ground truth
+as the frame's record is written. Of a frame it keeps only its decision and
+one (class, confidence, hit) per detection; each video's frames and
+detections are dropped once its lines are written, and the matches of all
+classes are ranked in one pass at the end.
+
+Commands run with the cyclic garbage collector off: their data are acyclic
+(frozen dataclasses, tuples, dicts) that reference counting frees, so full
+collections would only re-walk a heap that grows with the input.
 """
 
 import argparse
@@ -21,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .costmodel import CostParams, aggregate
-from .evaluation import evaluate_detections
+from .evaluation import evaluate_detections, match_frame
 from .formats import (
     AnnotationError,
     read_annotations,
@@ -108,10 +113,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_overwrite(option: str, paths, annotations=None) -> None:
-    """Raise, before anything is read or generated, if an output path or the
-    temporary name it is first written under is a directory or the input."""
+def _refuse_overwrite(option: str, paths, annotations=None, makes_dirs=False) -> None:
+    """Raise, before anything is read or generated, if an output path cannot
+    be written: its directory is missing (unless the command `makes_dirs`)
+    or lies under a non-directory, or the path or the temporary name it is
+    first written under is a directory or the input."""
     for path in paths:
+        parent = Path(path).parent
+        if makes_dirs:  # the nearest existing ancestor is where mkdir starts
+            while not parent.exists() and parent != parent.parent:
+                parent = parent.parent
+        if not parent.is_dir():
+            problem = "is not a directory" if parent.exists() else "does not exist"
+            raise ValueError(f"{option}: {parent} {problem}")
         for target in (path, temporary(path)):
             if os.path.isdir(target):
                 raise ValueError(f"{option} would write {target} over a directory")
@@ -175,25 +189,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
         s1, s2, pack_overhead=args.pack_overhead, skip_cost=args.skip_cost
     )
 
+    video_count = len(videos)
     decisions = []
-    det_pairs = []
-    gt_pairs = []
+    matches = []
 
     def records():
+        # Videos run in name order and frames in id order, which is the frame
+        # order scoring ranks by. Each video leaves `videos` as it runs, so
+        # its frames and detections are freed once its lines are written.
         for name in sorted(videos):
-            frames = videos[name]
+            frames = videos.pop(name)
             detector = SimulatedDetector(frames, noise)
             run = run_video(len(frames), config, detector, cost_params, packer)
             for frame, rec in zip(frames, run.records):
                 decisions.append(rec.decision)
-                key = (name, frame.frame_id)
-                det_pairs.extend((key, det) for det in rec.detections)
-                gt_pairs.extend((key, obj) for obj in frame.objects)
+                matches.append(match_frame(rec.detections, frame.objects))
                 yield result_record(name, frame, rec.decision, rec.detections, s1)
 
     write_jsonl(args.out, records())
     cost = aggregate(decisions, cost_params)
-    report = evaluate_detections(det_pairs, gt_pairs)
+    report = evaluate_detections(matches)
     summary = {
         "annotations": args.annotations,
         "mode": args.mode,
@@ -207,7 +222,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "pack_overhead": args.pack_overhead,
             "skip_cost": args.skip_cost,
         },
-        "videos": len(videos),
+        "videos": video_count,
         "cost": cost.to_json_dict(),
         "evaluation": report.to_json_dict(),
     }
@@ -226,7 +241,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     names = ("occupancy_hist.csv", "temporal_iou_hist.csv", "stats_summary.json")
     occ_path, iou_path, summary_path = outputs = [str(out_dir / name) for name in names]
-    _refuse_overwrite(f"--out-dir {args.out_dir}", outputs, args.annotations)
+    _refuse_overwrite(f"--out-dir {args.out_dir}", outputs, args.annotations, makes_dirs=True)
     frame_spec = FrameSpec(args.full_size)
     videos = read_annotations(args.annotations, frame_spec)
     if not videos:
@@ -255,6 +270,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if overlaps:
         iou_hist = histogram(overlaps, args.bins)
         write_histogram_csv(iou_hist, iou_path)
+    else:  # an older run's histogram would contradict this summary
+        with suppress(FileNotFoundError):
+            os.remove(iou_path)
     write_json(summary_path, summary)
     print(
         f"{summary['frames']} frames, mean occupancy "

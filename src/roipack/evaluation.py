@@ -1,53 +1,67 @@
 """Detection quality scoring: per-class average precision and its mean.
 
-Detections are ranked by descending confidence (ties broken by frame key,
-then by input order) and greedily matched, each to the highest-overlap
-still-unmatched ground-truth box of its class in its frame. A match needs
-at least the IoU threshold; everything else is a false positive. Average
-precision integrates the precision envelope over all recall points.
+Scoring has two steps. `match_frame` matches one frame as soon as it has
+run: its detections, highest confidence first (a stable sort keeps input
+order among ties), each take the highest-IoU still-unmatched ground-truth
+box of their class in that frame, and a match needs at least the IoU
+threshold. IoU is computed inline with the float operations of
+`geometry.iou`. What it keeps of a frame is one (class, confidence, hit)
+per detection and the frame's ground-truth count per class.
+`evaluate_detections` then ranks each class's detections over all frames
+by (descending confidence, frame position, rank within the frame) and
+integrates the precision envelope over all recall points.
 
-Scoring takes one pass: ground truth is grouped by class and frame once,
-each class's detections are ranked once, and IoU is computed inline with
-the float operations of `geometry.iou`, so every AP is the same to the bit
-as matching class by class with `iou`.
+This is exactly greedy matching over the global ranking (descending
+confidence, then frame key, then input order). A match removes a box only
+from its own frame, so only detections of the same frame can change each
+other's match, and within a frame the two orders agree. Fed in frame-key
+order, the frames give the same hits in the same ranks, so every AP is the
+same to the bit.
 """
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
-from typing import Hashable, Mapping, Optional, Sequence
+from operator import add, itemgetter
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .geometry import Rect
 from .pipeline import Detection, GtObject
 
 FrameKey = Hashable
+# One frame's detections as (class_id, confidence, hit), highest confidence
+# first, and its ground-truth count per class.
+FrameMatch = tuple[list[tuple[int, float, bool]], dict[int, int]]
 
 
-def _class_ap(
-    ranked: list[tuple[float, FrameKey, int, Rect]],
-    gt_by_frame: dict[FrameKey, list[Rect]],
-    iou_threshold: float,
-) -> float:
-    """AP of one class from its (-confidence, frame key, input order, rect)
-    detections and its ground-truth boxes per frame, which it consumes."""
-    npos = sum(len(boxes) for boxes in gt_by_frame.values())
-    ranked.sort()
-    tp = 0
-    recalls: list[float] = []
-    precisions: list[float] = []
-    for rank, (_, frame_key, _, det) in enumerate(ranked, start=1):
-        # A matched box is removed from its frame's list, so the boxes left
+def _by_confidence(det: Detection) -> float:
+    return -det.confidence
+
+
+def match_frame(
+    detections: Sequence[Detection],
+    objects: Sequence[GtObject],
+    iou_threshold: float = 0.5,
+) -> FrameMatch:
+    """Greedily match one frame's detections to its ground truth."""
+    boxes_by_class: dict[int, list[tuple[float, float, float, float]]] = {}
+    for obj in objects:
+        r = obj.rect
+        boxes_by_class.setdefault(obj.class_id, []).append((r.x_min, r.y_min, r.x_max, r.y_max))
+    gt_counts = {class_id: len(boxes) for class_id, boxes in boxes_by_class.items()}
+    matched = []
+    for det in sorted(detections, key=_by_confidence):
+        hit = False
+        # A matched box is removed from its class's list, so the boxes left
         # are the unmatched ones in input order and an IoU tie still goes to
         # the first of them.
-        boxes = gt_by_frame.get(frame_key)
+        boxes = boxes_by_class.get(det.class_id)
         if boxes:
-            ax0, ay0, ax1, ay1 = det.x_min, det.y_min, det.x_max, det.y_max
+            r = det.rect
+            ax0, ay0, ax1, ay1 = r.x_min, r.y_min, r.x_max, r.y_max
             area_a = (ax1 - ax0) * (ay1 - ay0)
             best_iou = 0.0
             best_idx = -1
-            for gt_idx, gt in enumerate(boxes):
+            for gt_idx, (bx0, by0, bx1, by1) in enumerate(boxes):
                 # iou(det, gt): max/min keep their first argument on a tie.
-                bx0, by0, bx1, by1 = gt.x_min, gt.y_min, gt.x_max, gt.y_max
                 x_min = bx0 if bx0 > ax0 else ax0
                 y_min = by0 if by0 > ay0 else ay0
                 x_max = bx1 if bx1 < ax1 else ax1
@@ -60,40 +74,9 @@ def _class_ap(
                     best_iou, best_idx = overlap, gt_idx
             if best_idx >= 0 and best_iou >= iou_threshold:
                 del boxes[best_idx]
-                tp += 1
-        recalls.append(tp / npos)
-        precisions.append(tp / rank)
-
-    # All-points interpolation: integrate the monotone precision envelope.
-    mrec = [0.0] + recalls + [1.0]
-    mpre = [0.0] + precisions + [0.0]
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    ap = 0.0
-    for i in range(len(mrec) - 1):
-        if mrec[i + 1] != mrec[i]:
-            ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
-    return ap
-
-
-def _per_class_ap(
-    detections: Sequence[tuple[FrameKey, Detection]],
-    ground_truth: Sequence[tuple[FrameKey, GtObject]],
-    iou_threshold: float,
-) -> dict[int, float]:
-    """AP of every class with ground truth, in ascending class order."""
-    gt_by_class: dict[int, dict[FrameKey, list[Rect]]] = {}
-    for frame_key, gt in ground_truth:
-        gt_by_class.setdefault(gt.class_id, {}).setdefault(frame_key, []).append(gt.rect)
-    ranked: dict[int, list] = {class_id: [] for class_id in gt_by_class}
-    for order, (frame_key, det) in enumerate(detections):
-        bucket = ranked.get(det.class_id)
-        if bucket is not None:
-            bucket.append((-det.confidence, frame_key, order, det.rect))
-    return {
-        class_id: _class_ap(ranked.pop(class_id), gt_by_class.pop(class_id), iou_threshold)
-        for class_id in sorted(gt_by_class)
-    }
+                hit = True
+        matched.append((det.class_id, det.confidence, hit))
+    return matched, gt_counts
 
 
 def average_precision(
@@ -107,8 +90,15 @@ def average_precision(
     Frame keys must sort consistently; detections and ground truth are
     matched only within the same frame key.
     """
-    own = [(frame_key, gt) for frame_key, gt in ground_truth if gt.class_id == class_id]
-    return _per_class_ap(detections, own, iou_threshold).get(class_id)
+    frames: dict[FrameKey, tuple[list[Detection], list[GtObject]]] = {}
+    for frame_key, det in detections:
+        frames.setdefault(frame_key, ([], []))[0].append(det)
+    for frame_key, gt in ground_truth:
+        frames.setdefault(frame_key, ([], []))[1].append(gt)
+    report = evaluate_detections(
+        match_frame(*frames[frame_key], iou_threshold) for frame_key in sorted(frames)
+    )
+    return report.per_class.get(class_id)
 
 
 def mean_average_precision(per_class: Mapping[int, Optional[float]]) -> float:
@@ -147,17 +137,48 @@ class EvalReport:
         }
 
 
-def evaluate_detections(
-    detections: Sequence[tuple[FrameKey, Detection]],
-    ground_truth: Sequence[tuple[FrameKey, GtObject]],
-    iou_threshold: float = 0.5,
-) -> EvalReport:
-    """Score detections against ground truth over every annotated class;
-    with no ground truth, per_class is empty and mean_ap is None."""
-    per_class = _per_class_ap(detections, ground_truth, iou_threshold)
+def evaluate_detections(frames: Iterable[FrameMatch]) -> EvalReport:
+    """Score `match_frame` results, given in frame order, over every
+    annotated class; with no ground truth, per_class is empty and mean_ap
+    is None."""
+    npos: dict[int, int] = {}
+    ranked: dict[int, list[tuple[int, float, bool]]] = {}
+    num_detections = 0
+    for matched, gt_counts in frames:
+        for class_id, count in gt_counts.items():
+            npos[class_id] = npos.get(class_id, 0) + count
+        num_detections += len(matched)
+        for row in matched:
+            ranked.setdefault(row[0], []).append(row)
+
+    per_class: dict[int, Optional[float]] = {}
+    for class_id in sorted(npos):
+        class_npos = npos[class_id]
+        class_ranked = ranked.pop(class_id, [])
+        # The rows are in frame order, and a stable sort keeps it among equal
+        # confidences: the rank is (-confidence, frame position, rank within
+        # the frame), with no key tuple built per detection.
+        class_ranked.sort(key=itemgetter(1), reverse=True)
+        tp = 0
+        recalls: list[float] = []
+        precisions: list[float] = []
+        for rank, (_, _, hit) in enumerate(class_ranked, start=1):
+            tp += hit
+            recalls.append(tp / class_npos)
+            precisions.append(tp / rank)
+        # All-points interpolation: integrate the monotone precision envelope.
+        mrec = [0.0] + recalls + [1.0]
+        mpre = [0.0] + precisions + [0.0]
+        for i in range(len(mpre) - 2, -1, -1):
+            mpre[i] = max(mpre[i], mpre[i + 1])
+        ap = 0.0
+        for i in range(len(mrec) - 1):
+            if mrec[i + 1] != mrec[i]:
+                ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
+        per_class[class_id] = ap
     return EvalReport(
         per_class=per_class,
         mean_ap=mean_average_precision(per_class) if per_class else None,
-        num_detections=len(detections),
-        num_ground_truth=len(ground_truth),
+        num_detections=num_detections,
+        num_ground_truth=sum(npos.values()),
     )

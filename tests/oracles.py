@@ -24,7 +24,8 @@ its per-object draws were memoized: it builds a fresh generator for every
 object, and the package must return equal detections. And
 reference_evaluate_detections is the evaluator as it was before scoring
 became one pass: it re-filters every detection and ground-truth box once per
-class and builds a Rect per IoU, and the package must report equal APs.
+class, ranks them over all frames at once and builds a Rect per IoU, and the
+package, which matches frame by frame and then ranks, must report equal APs.
 """
 
 import json

@@ -20,7 +20,7 @@ from oracles import (
     reference_ap,
 )
 from roipack.costmodel import CostParams, DecisionKind, aggregate, frame_cost
-from roipack.evaluation import average_precision, evaluate_detections
+from roipack.evaluation import average_precision, evaluate_detections, match_frame
 from roipack.geometry import FrameSpec, Rect, union_area
 from roipack.packing import connected_components, pack, pack_naive
 from roipack.pipeline import Detection, FrameDecision, PipelineConfig, map_back, run_video
@@ -176,7 +176,7 @@ def test_criterion_4_coordinate_round_trip():
 
 def test_criterion_5_static_noise_free_run_is_lossless():
     failures = []
-    det_pairs_pad, det_pairs_base, gt_pairs = [], [], []
+    matches_pad, matches_base = [], []
     seeds = np.random.SeedSequence(5).generate_state(20)
     for vid, seed in enumerate(seeds):
         params = SyntheticParams(
@@ -188,9 +188,8 @@ def test_criterion_5_static_noise_free_run_is_lossless():
         base = run_video(len(frames), PipelineConfig(anchor_interval=1), detector)
         for frame, rec_p, rec_b in zip(frames, pad.records, base.records):
             key = (vid, frame.frame_id)
-            gt_pairs.extend((key, obj) for obj in frame.objects)
-            det_pairs_pad.extend((key, d) for d in rec_p.detections)
-            det_pairs_base.extend((key, d) for d in rec_b.detections)
+            matches_pad.append(match_frame(rec_p.detections, frame.objects))
+            matches_base.append(match_frame(rec_b.detections, frame.objects))
             if len(rec_p.detections) != len(rec_b.detections):
                 failures.append(f"{key}: {len(rec_p.detections)} vs {len(rec_b.detections)}")
                 continue
@@ -205,8 +204,8 @@ def test_criterion_5_static_noise_free_run_is_lossless():
                 )
                 if coord_dev > 1e-9:
                     failures.append(f"{key}: coordinate deviation {coord_dev}")
-    map_pad = evaluate_detections(det_pairs_pad, gt_pairs).mean_ap
-    map_base = evaluate_detections(det_pairs_base, gt_pairs).mean_ap
+    map_pad = evaluate_detections(matches_pad).mean_ap
+    map_base = evaluate_detections(matches_base).mean_ap
     if map_pad - map_base != 0.0:
         failures.append(f"mAP difference {map_pad - map_base!r}")
     criterion(5, "static scenes, noise off: packed run matches full-size run", failures)
@@ -269,16 +268,14 @@ def test_criterion_7_region_aware_packing_beats_naive_packing():
         noise = NoiseModel(seed=seed)
         scores = {}
         for packer in (pack, pack_naive):
-            det_pairs, gt_pairs = [], []
-            for vid, s in enumerate(video_seeds):
+            matches = []
+            for s in video_seeds:
                 frames = gen_synthetic(SyntheticParams(frames=50, seed=int(s)))
                 detector = SimulatedDetector(frames, noise)
                 run = run_video(len(frames), CFG, detector, packer=packer)
                 for frame, rec in zip(frames, run.records):
-                    key = (vid, frame.frame_id)
-                    det_pairs.extend((key, d) for d in rec.detections)
-                    gt_pairs.extend((key, obj) for obj in frame.objects)
-            scores[packer] = evaluate_detections(det_pairs, gt_pairs).mean_ap
+                    matches.append(match_frame(rec.detections, frame.objects))
+            scores[packer] = evaluate_detections(matches).mean_ap
         if not scores[pack] > scores[pack_naive]:
             failures.append(
                 f"seed {seed}: merged-layout {scores[pack]:.4f} vs "

@@ -16,6 +16,7 @@ from roipack.cli import main
 from roipack.formats import read_annotations
 from roipack.geometry import FrameSpec
 from roipack.packing import MAX_FRAME_SIDE
+from roipack.pipeline import Detection, GtObject
 from roipack.simdet import SimulatedDetector
 from roipack.stats import occupancy_ratio, temporal_region_iou
 
@@ -390,6 +391,42 @@ class TestDirectoryAtAnOutputPath:
         assert tree(tmp_path) == before
 
 
+class TestUnwritableOutputDirectory:
+    """An output directory that is missing (for `run`) or lies under a file
+    stops the command before the annotations are read."""
+
+    @pytest.fixture
+    def unread(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "read_annotations", lambda *args: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize(
+        "command, problem",
+        [
+            (["run", "--out", "nodir/r.jsonl"], "nodir does not exist"),
+            (["run", "--out", "afile/r.jsonl"], "afile is not a directory"),
+            (["stats", "--out-dir", "afile"], "afile is not a directory"),
+            (["stats", "--out-dir", "afile/sub"], "afile is not a directory"),
+        ],
+    )
+    def test_refused_before_reading(self, tmp_path, monkeypatch, capsys, unread, command, problem):
+        ann = gen(tmp_path, videos="2", frames="5")
+        (tmp_path / "afile").write_text("a file\n")
+        monkeypatch.chdir(tmp_path)
+        before = tree(tmp_path)
+        verb, option, path = command
+        assert main([verb, ann.name, option, path]) == 1
+        assert f"error: {option} {path}: {problem}" in capsys.readouterr().err
+        assert unread == []
+        assert tree(tmp_path) == before
+
+    def test_stats_makes_missing_directories(self, tmp_path):
+        ann = gen(tmp_path, videos="2", frames="5")
+        assert main(["stats", str(ann), "--out-dir", str(tmp_path / "new" / "sub")]) == 0
+        assert (tmp_path / "new" / "sub" / "stats_summary.json").exists()
+
+
 class TestNoProcessOutlivesACommand:
     def test_after_gen_and_run(self, tmp_path):
         ann = gen(tmp_path)
@@ -493,6 +530,48 @@ class TestRunFailure:
         assert main(["run", str(ann), "--out", str(tmp_path / "out.jsonl")]) == 0
         assert seen == [True, True, True]
         assert not tmp.exists()
+
+
+class TestRunMemory:
+    def test_live_objects_do_not_grow_with_the_run(self, tmp_path, monkeypatch):
+        ann = gen(tmp_path, videos="8", frames="20", seed="3")
+        # Count per video from the files, so that the test holds no objects.
+        gt_per_video, det_per_video = {}, {}
+        for line in ann.read_text().splitlines():
+            rec = json.loads(line)
+            gt_per_video[rec["video"]] = gt_per_video.get(rec["video"], 0) + len(rec["objects"])
+        live = []
+
+        def count_live():
+            counts = {Detection: 0, GtObject: 0}
+            for obj in gc.get_objects():
+                if type(obj) in counts:
+                    counts[type(obj)] += 1
+            return counts[Detection], counts[GtObject]
+
+        real_run_video = cli.run_video
+
+        def spy(*args, **kwargs):
+            live.append(count_live())
+            return real_run_video(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_video", spy)
+        gc.collect()
+        held_det, held_gt = count_live()
+        out = tmp_path / "r.jsonl"
+        assert main(["run", str(ann), "--out", str(out)]) == 0
+        for line in out.read_text().splitlines():
+            rec = json.loads(line)
+            det_per_video[rec["video"]] = det_per_video.get(rec["video"], 0) + len(rec["detections"])
+
+        names = sorted(gt_per_video)
+        assert len(live) == len(names) == 8
+        for i, (dets, gts) in enumerate(live):
+            dets, gts = dets - held_det, gts - held_gt
+            assert dets <= max(det_per_video.values()), (i, dets)
+            not_yet_run = sum(gt_per_video[name] for name in names[i:])
+            previous = gt_per_video[names[i - 1]] if i else 0
+            assert not_yet_run <= gts <= not_yet_run + previous, (i, gts)
 
 
 class TestGarbageCollection:
@@ -622,6 +701,18 @@ class TestStats:
         )
         assert ann.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [tmp_name]
+
+    def test_no_pairs_removes_an_older_temporal_histogram(self, tmp_path):
+        many = gen(tmp_path, videos="1", frames="5")
+        one = tmp_path / "one.jsonl"
+        one.write_text(f'{{"video": "v", "frame": 0, "objects": [{OCC_HALF}]}}\n')
+        out_dir = tmp_path / "sd"
+        assert main(["stats", str(many), "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "temporal_iou_hist.csv").exists()
+        assert main(["stats", str(one), "--out-dir", str(out_dir)]) == 0
+        assert json.loads((out_dir / "stats_summary.json").read_text())["mean_temporal_iou"] is None
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "occupancy_hist.csv", "stats_summary.json"]
 
     def test_single_frame_dataset_has_no_pairs(self, tmp_path):
         ann = tmp_path / "one.jsonl"

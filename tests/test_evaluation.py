@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import reference_ap, reference_average_precision, reference_evaluate_detections
-from roipack.evaluation import average_precision, evaluate_detections, mean_average_precision
+from roipack.evaluation import (
+    average_precision,
+    evaluate_detections,
+    match_frame,
+    mean_average_precision,
+)
 from roipack.geometry import Rect
 from roipack.pipeline import Detection, GtObject, PipelineConfig, run_video
 from roipack.simdet import NoiseModel, SimulatedDetector, SyntheticParams, gen_synthetic
@@ -14,6 +19,17 @@ FAR = Rect(200, 10, 240, 40)
 
 def d(rect, conf, cls=0):
     return Detection(rect=rect, class_id=cls, confidence=conf)
+
+
+def matched_frames(dets, gts, iou_threshold=0.5):
+    """Per-frame `match_frame` results of (frame key, object) pairs, in
+    sorted frame-key order."""
+    frames = {}
+    for key, det in dets:
+        frames.setdefault(key, ([], []))[0].append(det)
+    for key, gt in gts:
+        frames.setdefault(key, ([], []))[1].append(gt)
+    return [match_frame(*frames[key], iou_threshold) for key in sorted(frames)]
 
 
 def worked_example():
@@ -208,7 +224,7 @@ class TestMatchesPreviousEvaluator:
             dets, gts = tricky_instance(rng)
             if not gts:
                 continue
-            got = evaluate_detections(dets, gts, threshold)
+            got = evaluate_detections(matched_frames(dets, gts, threshold))
             want = reference_evaluate_detections(dets, gts, threshold)
             assert got.per_class == want.per_class, case
             assert got.mean_ap == want.mean_ap, case
@@ -222,7 +238,7 @@ class TestMatchesPreviousEvaluator:
 
     def test_benchmark_like_run(self):
         # Detections from the simulated detector over generated videos.
-        dets, gts = [], []
+        dets, gts, matches = [], [], []
         for seed in range(6):
             frames = gen_synthetic(SyntheticParams(frames=30, seed=seed, num_objects=(3, 6)))
             detector = SimulatedDetector(frames, NoiseModel(seed=1))
@@ -231,9 +247,106 @@ class TestMatchesPreviousEvaluator:
                 key = (f"v{seed}", frame.frame_id)
                 dets.extend((key, det) for det in rec.detections)
                 gts.extend((key, obj) for obj in frame.objects)
-        got = evaluate_detections(dets, gts)
+                matches.append(match_frame(rec.detections, frame.objects))
+        got = evaluate_detections(matches)
         want = reference_evaluate_detections(dets, gts)
         assert (got.per_class, got.mean_ap) == (want.per_class, want.mean_ap)
+
+
+def edge_instance(rng):
+    """Frames built around the cases that ranking frame by frame must get
+    exactly right.
+
+    Most detections have confidence 1.0, so the cross-frame tie rule
+    decides the rank of many. A detection straddling two equal boxes has
+    equal IoU with both, some corners are -0.0 or 0.0, class 2 has ground
+    truth but is never detected, class 3 is detected but has no ground
+    truth, and some frames are empty or have detections but no ground
+    truth. Returns the (frame key, object) pairs and every frame key in
+    sorted order, empty frames included.
+    """
+    dets, gts = [], []
+    keys = [("v", f) for f in range(int(rng.integers(2, 8)))]
+
+    def conf():
+        return 1.0 if rng.uniform() < 0.7 else 0.5
+
+    for key in keys:
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            continue  # an empty frame
+        if kind == 1:  # detections but no ground truth
+            for _ in range(int(rng.integers(1, 4))):
+                x = float(rng.integers(0, 40))
+                dets.append((key, d(Rect(x, 0.0, x + 8, 8.0), conf(), int(rng.integers(0, 4)))))
+            continue
+        for _ in range(int(rng.integers(1, 4))):
+            x, y = (float(v) for v in rng.integers(0, 40, 2))
+            cls = int(rng.integers(0, 3))
+            gts.append((key, GtObject(cls, Rect(x, y, x + 8, y + 8))))
+            if cls < 2 and rng.uniform() < 0.8:
+                dx = float(rng.integers(-4, 5))
+                dets.append((key, d(Rect(x + dx, y, x + dx + 8, y + 8), conf(), cls)))
+        if rng.uniform() < 0.5:  # signed zeros on both sides of the IoU
+            gts.append((key, GtObject(0, Rect(0.0, -0.0, 6.0, 6.0))))
+            dets.append((key, d(Rect(-0.0, 0.0, 6.0, 3.0), conf(), 0)))
+        if rng.uniform() < 0.5:  # equal IoU with two equal boxes
+            gts.append((key, GtObject(1, Rect(60.0, 0.0, 66.0, 6.0))))
+            gts.append((key, GtObject(1, Rect(68.0, 0.0, 74.0, 6.0))))
+            dets.append((key, d(Rect(63.0, 0.0, 71.0, 6.0), conf(), 1)))
+            dets.append((key, d(Rect(60.0, 0.0, 66.0, 6.0), conf(), 1)))
+        if rng.uniform() < 0.5:  # a class with no ground truth anywhere
+            dets.append((key, d(Rect(100.0, 100.0, 110.0, 110.0), conf(), 3)))
+    order = rng.permutation(len(dets))
+    return [dets[i] for i in order], gts, keys
+
+
+class TestPerFrameMatching:
+    def test_highest_confidence_first_and_input_order_on_ties(self):
+        dets = [d(GT_A, 0.5), d(FAR, 0.9), d(GT_B, 0.5, cls=1), d(FAR, 0.5)]
+        matched, gt_counts = match_frame(dets, [GtObject(0, GT_A), GtObject(0, GT_B)])
+        assert matched == [(0, 0.9, False), (0, 0.5, True), (1, 0.5, False), (0, 0.5, False)]
+        assert gt_counts == {0: 2}
+
+    def test_keeps_only_plain_values(self):
+        dets, gts = worked_example()
+        matched, gt_counts = match_frame([det for _, det in dets], [gt for _, gt in gts])
+        assert {type(v) for row in matched for v in row} == {int, float, bool}
+        assert {type(v) for item in gt_counts.items() for v in item} == {int}
+
+    def test_cross_frame_tie_goes_to_the_earlier_frame(self):
+        miss = match_frame([d(FAR, 1.0)], [GtObject(0, GT_A)])
+        hit = match_frame([d(GT_B, 1.0)], [GtObject(0, GT_B)])
+        # Ranked miss then hit, precision at the only recall step is 1/2.
+        assert evaluate_detections([miss, hit]).per_class == {0: 0.25}
+        assert evaluate_detections([hit, miss]).per_class == {0: 0.5}
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.25])
+    def test_equal_to_the_previous_evaluator_on_edge_cases(self, threshold):
+        rng = np.random.default_rng(13)
+        defined = 0
+        for case in range(300):
+            dets, gts, keys = edge_instance(rng)
+            if not gts:
+                continue
+            frames = [
+                match_frame(
+                    [det for k, det in dets if k == key],
+                    [gt for k, gt in gts if k == key],
+                    threshold,
+                )
+                for key in keys
+            ]
+            got = evaluate_detections(frames)
+            want = reference_evaluate_detections(dets, gts, threshold)
+            assert got.per_class == want.per_class, case
+            assert got.mean_ap == want.mean_ap, case
+            assert (got.num_detections, got.num_ground_truth) == (
+                want.num_detections, want.num_ground_truth)
+            for cls in range(4):
+                assert average_precision(dets, gts, cls, threshold) == got.per_class.get(cls)
+            defined += len(got.per_class)
+        assert defined > 300
 
 
 class TestMeanAveragePrecision:
@@ -261,7 +374,7 @@ class TestEvaluateDetections:
     def test_report_fields(self):
         dets, gts = worked_example()
         gts = gts + [(0, GtObject(1, FAR))]
-        report = evaluate_detections(dets, gts)
+        report = evaluate_detections(matched_frames(dets, gts))
         assert sorted(report.per_class) == [0, 1]
         assert report.per_class[0] == 0.5 + 0.5 * (2 / 3)
         assert report.per_class[1] == 0.0  # no detections for that class
@@ -271,13 +384,13 @@ class TestEvaluateDetections:
 
     def test_json_payload(self):
         dets, gts = worked_example()
-        payload = evaluate_detections(dets, gts).to_json_dict()
+        payload = evaluate_detections(matched_frames(dets, gts)).to_json_dict()
         assert set(payload) == {"per_class_ap", "mAP", "num_detections", "num_ground_truth"}
         assert list(payload["per_class_ap"]) == ["0"]
 
     def test_empty_ground_truth_has_no_map(self):
         # No class has an AP, so there is no mean; the detections still count.
-        report = evaluate_detections([(0, d(GT_A, 0.9))], [])
+        report = evaluate_detections(matched_frames([(0, d(GT_A, 0.9))], []))
         assert report.per_class == {}
         assert report.mean_ap is None
         assert report.num_detections == 1
