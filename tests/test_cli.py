@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -535,19 +536,19 @@ class TestRunFailure:
 class TestRunMemory:
     def test_live_objects_do_not_grow_with_the_run(self, tmp_path, monkeypatch):
         ann = gen(tmp_path, videos="8", frames="20", seed="3")
-        # Count per video from the files, so that the test holds no objects.
-        gt_per_video, det_per_video = {}, {}
-        for line in ann.read_text().splitlines():
-            rec = json.loads(line)
-            gt_per_video[rec["video"]] = gt_per_video.get(rec["video"], 0) + len(rec["objects"])
         live = []
 
         def count_live():
-            counts = {Detection: 0, GtObject: 0}
-            for obj in gc.get_objects():
-                if type(obj) in counts:
-                    counts[type(obj)] += 1
+            counts = Counter(type(obj) for obj in gc.get_objects())
             return counts[Detection], counts[GtObject]
+
+        def per_video(path, key):
+            # Counted from the files, so that the test holds no objects.
+            counts = Counter()
+            for line in path.read_text().splitlines():
+                rec = json.loads(line)
+                counts[rec["video"]] += len(rec[key])
+            return counts
 
         real_run_video = cli.run_video
 
@@ -560,10 +561,8 @@ class TestRunMemory:
         held_det, held_gt = count_live()
         out = tmp_path / "r.jsonl"
         assert main(["run", str(ann), "--out", str(out)]) == 0
-        for line in out.read_text().splitlines():
-            rec = json.loads(line)
-            det_per_video[rec["video"]] = det_per_video.get(rec["video"], 0) + len(rec["detections"])
-
+        gt_per_video = per_video(ann, "objects")
+        det_per_video = per_video(out, "detections")
         names = sorted(gt_per_video)
         assert len(live) == len(names) == 8
         for i, (dets, gts) in enumerate(live):
