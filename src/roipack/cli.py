@@ -174,19 +174,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _refuse_overwrite(f"--out {args.out}", (args.out, summary_path), args.annotations)
     s1 = FrameSpec(args.full_size)
     s2 = FrameSpec(args.reduced_size)
+    # Settings are checked before the annotations are read.
+    anchor_interval = 1 if args.mode == "baseline" else args.anchor_interval
+    config = PipelineConfig(anchor_interval=anchor_interval, tau=args.tau, s1=s1, s2=s2)
+    cost_params = CostParams.for_frames(
+        s1, s2, pack_overhead=args.pack_overhead, skip_cost=args.skip_cost
+    )
     videos = read_annotations(args.annotations, s1)
     if not videos:
         raise ValueError(f"no frames in {args.annotations}")
-    anchor_interval = 1 if args.mode == "baseline" else args.anchor_interval
-    config = PipelineConfig(anchor_interval=anchor_interval, tau=args.tau, s1=s1, s2=s2)
     packer = pack_naive if args.mode == "naive" else pack
     noise = (
         NoiseModel.disabled(seed=args.seed)
         if args.noise_profile == "off"
         else NoiseModel(seed=args.seed)
-    )
-    cost_params = CostParams.for_frames(
-        s1, s2, pack_overhead=args.pack_overhead, skip_cost=args.skip_cost
     )
 
     video_count = len(videos)

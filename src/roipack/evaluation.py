@@ -22,11 +22,10 @@ same to the bit.
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .pipeline import Detection, GtObject
 
-FrameKey = Hashable
 # One frame's detections as (class_id, confidence, hit), highest confidence
 # first, and its ground-truth count per class.
 FrameMatch = tuple[list[tuple[int, float, bool]], dict[int, int]]
@@ -77,28 +76,6 @@ def match_frame(
                 hit = True
         matched.append((det.class_id, det.confidence, hit))
     return matched, gt_counts
-
-
-def average_precision(
-    detections: Sequence[tuple[FrameKey, Detection]],
-    ground_truth: Sequence[tuple[FrameKey, GtObject]],
-    class_id: int,
-    iou_threshold: float = 0.5,
-) -> Optional[float]:
-    """AP for one class, or None when the class has no ground truth.
-
-    Frame keys must sort consistently; detections and ground truth are
-    matched only within the same frame key.
-    """
-    frames: dict[FrameKey, tuple[list[Detection], list[GtObject]]] = {}
-    for frame_key, det in detections:
-        frames.setdefault(frame_key, ([], []))[0].append(det)
-    for frame_key, gt in ground_truth:
-        frames.setdefault(frame_key, ([], []))[1].append(gt)
-    report = evaluate_detections(
-        match_frame(*frames[frame_key], iou_threshold) for frame_key in sorted(frames)
-    )
-    return report.per_class.get(class_id)
 
 
 def mean_average_precision(per_class: Mapping[int, Optional[float]]) -> float:

@@ -7,10 +7,12 @@ smaller destination frame:
   1. overlapping ROIs are merged (repeatedly, via connected components of
      the intersection graph) until the boxes are pairwise disjoint;
   2. a two-column or two-row layout is chosen from the largest box
-     dimension, and the boxes are placed flush at their original size;
+     dimension, and placing the boxes flush at their original size tells
+     whether they fit, from their sizes alone;
   3. if they fit, every patch is grown in place, along the axis the groups
      are laid out on first, so the crops carry as much surrounding context
-     as the destination allows.
+     as the destination allows; the grown crops are placed flush once more,
+     and only then are the slots and the plan built, each once.
 
 Growth is defined in rounds of at most one pixel unit per slot, split
 symmetrically between both sides; growth clipped at a source frame boundary
@@ -206,49 +208,41 @@ def choose_layout(boxes: Sequence[Rect]) -> Layout:
     return Layout(axis=axis, groups=groups)
 
 
-def _flush_slots(boxes: Sequence[Rect], layout: Layout) -> tuple[tuple[PackSlot, ...], float]:
-    """Place boxes flush against each other per the layout, at scale 1.
+def _flush(boxes: Sequence[list[float]], layout: Layout) -> tuple[list, float]:
+    """Place [x0, y0, x1, y1] boxes flush against each other per the layout.
 
-    Returns the slots and the side of the smallest square, anchored at the
-    destination origin, that holds them all.
+    Returns each box's destination corner (x, y) and the side of the
+    smallest square, anchored at the destination origin, that holds them.
     """
     axis = layout.axis
-    dst = [None] * len(boxes)
+    corners = [None] * len(boxes)
     group_off = longest_stack = 0.0
     for members in layout.groups:
         member_off = extent = 0.0
         for i in members:
             b = boxes[i]
-            width, height = b.x_max - b.x_min, b.y_max - b.y_min
-            if axis == 0:
-                dst[i] = Rect(group_off, member_off, group_off + width, member_off + height)
-                member_off += height
-                size = width
-            else:
-                dst[i] = Rect(member_off, group_off, member_off + width, group_off + height)
-                member_off += width
-                size = height
+            corners[i] = (group_off, member_off) if axis == 0 else (member_off, group_off)
+            member_off += b[3 - axis] - b[1 - axis]
+            size = b[axis + 2] - b[axis]
             if size > extent:
                 extent = size
         group_off += extent
         if member_off > longest_stack:
             longest_stack = member_off
-    slots = tuple(PackSlot(b, d, 1.0, 1.0) for b, d in zip(boxes, dst))
-    return slots, max(group_off, longest_stack)
+    return corners, max(group_off, longest_stack)
 
 
 def place_and_fit(
-    boxes: Sequence[Rect], layout: Layout, source: FrameSpec, dest: FrameSpec
-) -> Optional[PackPlan]:
-    """Place disjoint boxes of the source frame flush at original size per
-    the layout, or None if they cannot fit in the destination frame. The
-    plan is complete; expand_greedy() then grows its crops by the layout."""
+    boxes: Sequence[Rect], layout: Layout, dest: FrameSpec
+) -> Optional[list[list[float]]]:
+    """The disjoint boxes as fresh [x0, y0, x1, y1] lists if, placed flush
+    at their size per the layout, they fit in the destination frame; else
+    None. It builds no slot: expand_greedy() builds them once."""
     if len(boxes) != sum(len(members) for members in layout.groups):
         raise ValueError("box count does not match layout")
-    slots, side = _flush_slots(boxes, layout)
-    if side > dest.side:
-        return None
-    return PackPlan(slots=slots, dest=dest, method=PackMethod.GREEDY, source=source)
+    src = [[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes]
+    _, side = _flush(src, layout)
+    return None if side > dest.side else src
 
 
 def _grow_interval(
@@ -533,27 +527,31 @@ def _expand_axis(
         s[axis], s[axis + 2] = lo, hi
 
 
-def expand_greedy(plan: PackPlan, layout: Layout) -> PackPlan:
-    """Grow every slot's src (and dst, identically) to pull in context.
+def expand_greedy(
+    src: list[list[float]], layout: Layout, source: FrameSpec, dest: FrameSpec
+) -> PackPlan:
+    """Grow, in place, the source crops that place_and_fit() found to fit
+    with this layout, to pull in context; then place them and build the plan.
 
-    `layout` is the one place_and_fit() placed the plan with. Slots grow
-    along the layout's axis first, then the other axis, in rounds of at
-    most GROWTH_STEP per slot, iterated in slot index order. Growth is
-    symmetric about the patch center and spills past a source frame
-    boundary to the opposite side. A slot freezes in an axis when the
+    Slots grow along the layout's axis first, then the other axis, in
+    rounds of at most GROWTH_STEP per slot, iterated in slot index order.
+    Growth is symmetric about the patch center and spills past a source
+    frame boundary to the opposite side. A slot freezes in an axis when the
     shared destination capacity is exhausted, when growing would run its
     src into another slot's src, or when it spans the full source frame.
-    Destination placement is recomputed flush afterwards.
 
     Plans are bit-identical to stepping every round, while the cost
     follows events, not rounds (see _expand_axis).
     """
-    src = [[s.src.x_min, s.src.y_min, s.src.x_max, s.src.y_max] for s in plan.slots]
     for axis in (layout.axis, 1 - layout.axis):
-        _expand_axis(src, axis, layout, plan.dest.side, plan.source.side)
+        _expand_axis(src, axis, layout, dest.side, source.side)
     # Rounding may leave a dst ~1e-9 past the frame; that still fits.
-    slots, _ = _flush_slots([Rect(*b) for b in src], layout)
-    return PackPlan(slots=slots, dest=plan.dest, method=plan.method, source=plan.source)
+    corners, _ = _flush(src, layout)
+    slots = tuple(
+        PackSlot(Rect(x0, y0, x1, y1), Rect(x, y, x + (x1 - x0), y + (y1 - y0)), 1.0, 1.0)
+        for (x0, y0, x1, y1), (x, y) in zip(src, corners)
+    )
+    return PackPlan(slots=slots, dest=dest, method=PackMethod.GREEDY, source=source)
 
 
 def pack(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Optional[PackPlan]:
@@ -569,10 +567,10 @@ def pack(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Optional[P
     if len(merged) > MAX_SLOTS:
         return None
     layout = choose_layout(merged)
-    placed = place_and_fit(merged, layout, source, dest)
-    if placed is None:
+    src = place_and_fit(merged, layout, dest)
+    if src is None:
         return None
-    return expand_greedy(placed, layout)
+    return expand_greedy(src, layout, source, dest)
 
 
 def _naive_cells(count: int, side: float) -> list[Rect]:

@@ -8,8 +8,10 @@ package beyond plain data types.
 
 The exception is reference_expand_greedy: the plain unit-round greedy
 expansion, stepped one round at a time. The package skips quiet rounds in
-bulk and must reproduce it bit for bit, so it shares the package's layout
-and placement helpers and differs only in the growth loop.
+bulk and must reproduce it bit for bit. It takes what place_and_fit returns
+(the boxes as [x0, y0, x1, y1] lists, when they fit) and reuses the
+package's choose_layout, place_and_fit and _flush, so it differs only in the
+growth loop.
 
 Likewise reference_read_annotations is the annotation parser as it was
 before it tried exact types first, checking every rule of every object, and
@@ -34,7 +36,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from roipack.evaluation import EvalReport, mean_average_precision
+from roipack.evaluation import EvalReport, match_frame, mean_average_precision
 from roipack.formats import AnnotationError
 from roipack.geometry import FrameSpec, Rect, intersection, iou
 from roipack.packing import (
@@ -43,7 +45,8 @@ from roipack.packing import (
     Layout,
     PackMethod,
     PackPlan,
-    _flush_slots,
+    PackSlot,
+    _flush,
     choose_layout,
     place_and_fit,
 )
@@ -320,13 +323,18 @@ def _expand_axis(
             src[i][axis], src[i][axis + 2] = grown
 
 
-def reference_expand_greedy(plan: PackPlan, layout: Layout) -> PackPlan:
+def reference_expand_greedy(
+    src: list[list[float]], layout: Layout, source: FrameSpec, dest: FrameSpec
+) -> PackPlan:
     """expand_greedy stepped one unit round at a time, every round."""
-    src = [[s.src.x_min, s.src.y_min, s.src.x_max, s.src.y_max] for s in plan.slots]
     for axis in (layout.axis, 1 - layout.axis):
-        _expand_axis(src, axis, layout, plan.dest.side, plan.source.side)
-    slots, _ = _flush_slots([Rect(*b) for b in src], layout)
-    return PackPlan(slots=slots, dest=plan.dest, method=PackMethod.GREEDY, source=plan.source)
+        _expand_axis(src, axis, layout, dest.side, source.side)
+    corners, _ = _flush(src, layout)
+    slots = tuple(
+        PackSlot(Rect(x0, y0, x1, y1), Rect(x, y, x + (x1 - x0), y + (y1 - y0)), 1.0, 1.0)
+        for (x0, y0, x1, y1), (x, y) in zip(src, corners)
+    )
+    return PackPlan(slots=slots, dest=dest, method=PackMethod.GREEDY, source=source)
 
 
 def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
@@ -337,10 +345,10 @@ def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
     if len(merged) > MAX_SLOTS:
         return None
     layout = choose_layout(merged)
-    placed = place_and_fit(merged, layout, source, dest)
-    if placed is None:
+    src = place_and_fit(merged, layout, dest)
+    if src is None:
         return None
-    return reference_expand_greedy(placed, layout)
+    return reference_expand_greedy(src, layout, source, dest)
 
 
 def _reference_parse_object(raw: object, side: float, where: str) -> GtObject:
@@ -477,6 +485,18 @@ def _ranked(
     ]
     indexed.sort(key=lambda item: (-item[2].confidence, item[0], item[1]))
     return [(frame_key, det) for frame_key, _, det in indexed]
+
+
+def matched_frames(detections, ground_truth, iou_threshold=0.5):
+    """Not an oracle: the package's per-frame `match_frame` results for
+    (frame key, object) pairs, in sorted frame-key order, ready for
+    `evaluate_detections`."""
+    frames = {}
+    for key, det in detections:
+        frames.setdefault(key, ([], []))[0].append(det)
+    for key, gt in ground_truth:
+        frames.setdefault(key, ([], []))[1].append(gt)
+    return [match_frame(*frames[key], iou_threshold) for key in sorted(frames)]
 
 
 def reference_average_precision(

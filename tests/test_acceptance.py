@@ -15,12 +15,13 @@ import pytest
 
 from oracles import (
     brute_components,
+    matched_frames,
     raster_region_iou,
     raster_union_area,
     reference_ap,
 )
 from roipack.costmodel import CostParams, DecisionKind, aggregate, frame_cost
-from roipack.evaluation import average_precision, evaluate_detections, match_frame
+from roipack.evaluation import evaluate_detections, match_frame
 from roipack.geometry import FrameSpec, Rect, union_area
 from roipack.packing import connected_components, pack, pack_naive
 from roipack.pipeline import Detection, FrameDecision, PipelineConfig, map_back, run_video
@@ -310,7 +311,7 @@ def test_criterion_9_average_precision_matches_brute_force():
         (0, Detection(far, 0, 0.8)),
         (0, Detection(gt_b, 0, 0.7)),
     ]
-    ap = average_precision(dets, gts, 0)
+    ap = evaluate_detections(matched_frames(dets, gts)).per_class.get(0)
     if abs(ap - 5 / 6) > 1e-6:
         failures.append(f"hit-miss-hit AP {ap!r}")
 
@@ -343,8 +344,9 @@ def test_criterion_9_average_precision_matches_brute_force():
             conf = float(confs[rng.integers(0, len(confs))])
             det_pairs.append((frame, Detection(Rect(x, y, x + 20, y + 20), cls, conf)))
             det_rows.append((frame, (x, y, x + 20, y + 20), cls, conf))
+        per_class = evaluate_detections(matched_frames(det_pairs, gt_pairs)).per_class
         for cls in (0, 1):
-            got = average_precision(det_pairs, gt_pairs, cls)
+            got = per_class.get(cls)
             want = reference_ap(det_rows, gt_rows, cls)
             if got != want:
                 failures.append(f"case {case} class {cls}: {got!r} vs oracle {want!r}")

@@ -428,6 +428,20 @@ class TestUnwritableOutputDirectory:
         assert (tmp_path / "new" / "sub" / "stats_summary.json").exists()
 
 
+class TestSettingsCheckedBeforeReading:
+    def test_reduced_frame_larger_than_the_full_frame(self, tmp_path, monkeypatch, capsys):
+        ann = gen(tmp_path, videos="2", frames="5")
+        calls = []
+        monkeypatch.setattr(cli, "read_annotations", lambda *args: calls.append(args))
+        before = tree(tmp_path)
+        out = str(tmp_path / "r.jsonl")
+        assert main(["run", str(ann), "--out", out, "--reduced-size", "400"]) == 1
+        err = capsys.readouterr().err
+        assert "error: reduced frame cannot be larger than the full frame" in err
+        assert calls == []
+        assert tree(tmp_path) == before
+
+
 class TestNoProcessOutlivesACommand:
     def test_after_gen_and_run(self, tmp_path):
         ann = gen(tmp_path)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import reference_ap, reference_average_precision, reference_evaluate_detections
-from roipack.evaluation import (
-    average_precision,
-    evaluate_detections,
-    match_frame,
-    mean_average_precision,
+from oracles import (
+    matched_frames,
+    reference_ap,
+    reference_average_precision,
+    reference_evaluate_detections,
 )
+from roipack.evaluation import evaluate_detections, match_frame, mean_average_precision
 from roipack.geometry import Rect
 from roipack.pipeline import Detection, GtObject, PipelineConfig, run_video
 from roipack.simdet import NoiseModel, SimulatedDetector, SyntheticParams, gen_synthetic
@@ -21,15 +21,10 @@ def d(rect, conf, cls=0):
     return Detection(rect=rect, class_id=cls, confidence=conf)
 
 
-def matched_frames(dets, gts, iou_threshold=0.5):
-    """Per-frame `match_frame` results of (frame key, object) pairs, in
-    sorted frame-key order."""
-    frames = {}
-    for key, det in dets:
-        frames.setdefault(key, ([], []))[0].append(det)
-    for key, gt in gts:
-        frames.setdefault(key, ([], []))[1].append(gt)
-    return [match_frame(*frames[key], iou_threshold) for key in sorted(frames)]
+def class_ap(dets, gts, cls, iou_threshold=0.5):
+    """One class's AP over (frame key, object) pairs, or None without ground
+    truth."""
+    return evaluate_detections(matched_frames(dets, gts, iou_threshold)).per_class.get(cls)
 
 
 def worked_example():
@@ -42,44 +37,44 @@ def worked_example():
 class TestAveragePrecision:
     def test_hit_miss_hit_example(self):
         dets, gts = worked_example()
-        ap = average_precision(dets, gts, class_id=0)
+        ap = class_ap(dets, gts, 0)
         assert ap == 0.5 + 0.5 * (2 / 3)
         assert ap == pytest.approx(5 / 6, abs=1e-9)
 
     def test_perfect_detections(self):
         gts = [(i, GtObject(0, GT_A)) for i in range(3)]
         dets = [(i, d(GT_A, 0.9 - 0.1 * i)) for i in range(3)]
-        assert average_precision(dets, gts, 0) == 1.0
+        assert class_ap(dets, gts, 0) == 1.0
 
     def test_nothing_matches(self):
         gts = [(0, GtObject(0, GT_A))]
         dets = [(0, d(FAR, 0.9)), (0, d(FAR, 0.8))]
-        assert average_precision(dets, gts, 0) == 0.0
+        assert class_ap(dets, gts, 0) == 0.0
 
     def test_no_detections_is_zero(self):
         gts = [(0, GtObject(0, GT_A))]
-        assert average_precision([], gts, 0) == 0.0
+        assert class_ap([], gts, 0) == 0.0
 
     def test_class_without_ground_truth_is_undefined(self):
         dets, gts = worked_example()
-        assert average_precision(dets, gts, class_id=9) is None
+        assert class_ap(dets, gts, 9) is None
 
     def test_matching_is_per_frame(self):
         gts = [(0, GtObject(0, GT_A))]
         dets = [(1, d(GT_A, 0.9))]  # right box, wrong frame
-        assert average_precision(dets, gts, 0) == 0.0
+        assert class_ap(dets, gts, 0) == 0.0
 
     def test_confidence_tie_broken_by_frame_key(self):
         gts = [(0, GtObject(0, GT_A)), (1, GtObject(0, GT_B))]
         dets = [(1, d(GT_B, 0.5)), (0, d(FAR, 0.5))]
         # The frame-0 false positive ranks first on the tie, so precision
         # at the only recall step is 1/2.
-        assert average_precision(dets, gts, 0) == 0.25
+        assert class_ap(dets, gts, 0) == 0.25
 
     def test_duplicate_detections_count_once(self):
         gts = [(0, GtObject(0, GT_A))]
         dets = [(0, d(GT_A, 0.9)), (0, d(GT_A, 0.8))]
-        assert average_precision(dets, gts, 0) == 1.0
+        assert class_ap(dets, gts, 0) == 1.0
 
     def test_detection_prefers_higher_iou_ground_truth(self):
         # det1 overlaps both boxes above a 0.75 threshold; taking the
@@ -87,7 +82,7 @@ class TestAveragePrecision:
         gt1, gt2 = Rect(0, 0, 10, 10), Rect(0, 0, 14, 10)
         gts = [(0, GtObject(0, gt1)), (0, GtObject(0, gt2))]
         dets = [(0, d(Rect(0, 0, 13, 10), 0.9)), (0, d(gt1, 0.8))]
-        assert average_precision(dets, gts, 0, iou_threshold=0.75) == 1.0
+        assert class_ap(dets, gts, 0, iou_threshold=0.75) == 1.0
 
     def test_iou_tie_matches_first_ground_truth(self):
         gt1, gt2 = Rect(0, 0, 10, 10), Rect(20, 0, 30, 10)
@@ -95,23 +90,23 @@ class TestAveragePrecision:
         dets = [(0, d(Rect(5, 0, 25, 10), 0.9)), (0, d(gt1, 0.8))]
         # The straddling box ties at IoU 0.2 and takes gt1, leaving the
         # exact copy of gt1 unmatched.
-        assert average_precision(dets, gts, 0, iou_threshold=0.1) == 0.5
+        assert class_ap(dets, gts, 0, iou_threshold=0.1) == 0.5
 
     def test_threshold_is_inclusive(self):
         gts = [(0, GtObject(0, Rect(0, 0, 10, 10)))]
         dets = [(0, d(Rect(0, 0, 10, 5), 0.9))]  # IoU exactly 0.5
-        assert average_precision(dets, gts, 0, iou_threshold=0.5) == 1.0
+        assert class_ap(dets, gts, 0, iou_threshold=0.5) == 1.0
 
     def test_monotone_confidence_transform_is_invariant(self):
         dets, gts = worked_example()
         squeezed = [(k, d(det.rect, det.confidence / 2 + 0.25, det.class_id))
                     for k, det in dets]
-        assert average_precision(squeezed, gts, 0) == average_precision(dets, gts, 0)
+        assert class_ap(squeezed, gts, 0) == class_ap(dets, gts, 0)
 
     def test_trailing_false_positive_never_helps(self):
         dets, gts = worked_example()
-        base = average_precision(dets, gts, 0)
-        worse = average_precision(dets + [(0, d(FAR, 0.1))], gts, 0)
+        base = class_ap(dets, gts, 0)
+        worse = class_ap(dets + [(0, d(FAR, 0.1))], gts, 0)
         assert worse <= base
 
 
@@ -154,7 +149,7 @@ class TestAgainstReference:
         for _ in range(40):
             dets, gts, det_rows, gt_rows = random_instance(rng)
             for cls in (0, 1):
-                got = average_precision(dets, gts, cls)
+                got = class_ap(dets, gts, cls)
                 want = reference_ap(det_rows, gt_rows, cls)
                 assert got == want
                 if got is not None:
@@ -231,7 +226,7 @@ class TestMatchesPreviousEvaluator:
             assert (got.num_detections, got.num_ground_truth) == (
                 want.num_detections, want.num_ground_truth)
             for cls in range(4):
-                assert average_precision(dets, gts, cls, threshold) == (
+                assert class_ap(dets, gts, cls, threshold) == (
                     reference_average_precision(dets, gts, cls, threshold)), (case, cls)
             defined += len(got.per_class)
         assert defined > 500
@@ -344,7 +339,7 @@ class TestPerFrameMatching:
             assert (got.num_detections, got.num_ground_truth) == (
                 want.num_detections, want.num_ground_truth)
             for cls in range(4):
-                assert average_precision(dets, gts, cls, threshold) == got.per_class.get(cls)
+                assert class_ap(dets, gts, cls, threshold) == got.per_class.get(cls)
             defined += len(got.per_class)
         assert defined > 300
 
@@ -359,7 +354,7 @@ class TestMeanAveragePrecision:
 
     def test_undefined_classes_are_skipped(self):
         dets, gts = worked_example()
-        ap = average_precision(dets, gts, 0)
+        ap = class_ap(dets, gts, 0)
         assert mean_average_precision({0: ap, 1: 1.0, 2: None}) == (ap + 1.0) / 2
         assert mean_average_precision({0: ap, 1: 1.0, 2: None}) == pytest.approx(
             0.9166666666666666, abs=1e-9

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import _grow_interval as reference_grow_interval
 from oracles import brute_components, reference_merge_overlaps, reference_pack
+from roipack import packing
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import (
     MAX_SLOTS,
@@ -15,6 +16,7 @@ from roipack.packing import (
     PackPlan,
     PackSlot,
     _first_hit,
+    _flush,
     _repeat_add,
     choose_layout,
     connected_components,
@@ -210,83 +212,134 @@ class TestChooseLayout:
         assert Layout(axis=1, groups=((3, 1), (0,), (2,))).groups == ((3, 1), (0,), (2,))
 
 
+def as_lists(boxes):
+    return [[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes]
+
+
+def flush_dsts(boxes):
+    """Each box's destination rect from its _flush corner, at its own size,
+    under the layout chosen for the boxes."""
+    corners, _ = _flush(as_lists(boxes), choose_layout(boxes))
+    return [Rect(x, y, x + b.width, y + b.height) for b, (x, y) in zip(boxes, corners)]
+
+
+def fits(boxes):
+    return place_and_fit(boxes, choose_layout(boxes), DST)
+
+
 class TestPlaceAndFit:
     def test_single_box_flush_at_origin(self):
         box = Rect(100, 120, 180, 180)
-        plan = place_and_fit([box], choose_layout([box]), SRC, DST)
-        assert plan is not None
-        (slot,) = plan.slots
-        assert slot.src == Rect(100, 120, 180, 180)
-        assert slot.dst == Rect(0, 0, 80, 60)
-        assert slot.scale_x == 1.0 and slot.scale_y == 1.0
+        assert fits([box]) == [[100, 120, 180, 180]]
+        assert _flush(as_lists([box]), choose_layout([box])) == ([(0.0, 0.0)], 80.0)
+        assert flush_dsts([box]) == [Rect(0, 0, 80, 60)]
 
     def test_plan_keeps_the_given_source_frame(self):
         box = Rect(100, 120, 180, 180)
         source = FrameSpec(400.0)
-        plan = place_and_fit([box], choose_layout([box]), source, DST)
+        plan = pack([box], source, DST)
         assert plan is not None
-        assert plan.source is source
+        assert plan.source is source and plan.dest is DST
 
     def test_single_box_too_wide(self):
-        box = Rect(0, 0, 200, 90)
-        assert place_and_fit([box], choose_layout([box]), SRC, DST) is None
+        assert fits([Rect(0, 0, 200, 90)]) is None
 
     def test_pair_exceeding_width_budget(self):
-        boxes = [Rect(0, 0, 100, 140), Rect(120, 0, 180, 130)]
-        assert place_and_fit(boxes, choose_layout(boxes), SRC, DST) is None
+        assert fits([Rect(0, 0, 100, 140), Rect(120, 0, 180, 130)]) is None
 
     def test_pair_within_budget(self):
         boxes = [Rect(0, 0, 100, 140), Rect(120, 0, 170, 130)]
-        plan = place_and_fit(boxes, choose_layout(boxes), SRC, DST)
-        assert plan is not None
-        assert plan.slots[0].dst == Rect(0, 0, 100, 140)
-        assert plan.slots[1].dst == Rect(100, 0, 150, 130)
+        assert fits(boxes) == as_lists(boxes)
+        assert flush_dsts(boxes) == [Rect(0, 0, 100, 140), Rect(100, 0, 150, 130)]
 
     def test_rows_stack_downward(self):
         boxes = [Rect(0, 0, 120, 40), Rect(150, 200, 260, 240)]
-        plan = place_and_fit(boxes, choose_layout(boxes), SRC, DST)
-        assert plan is not None
-        assert plan.slots[0].dst == Rect(0, 0, 120, 40)
-        assert plan.slots[1].dst == Rect(0, 40, 110, 80)
+        assert fits(boxes) is not None
+        assert flush_dsts(boxes) == [Rect(0, 0, 120, 40), Rect(0, 40, 110, 80)]
 
     def test_three_boxes_second_column_stacks(self):
         boxes = [Rect(0, 0, 80, 150), Rect(100, 0, 160, 70), Rect(200, 0, 265, 75)]
-        plan = place_and_fit(boxes, choose_layout(boxes), SRC, DST)
-        assert plan is not None
-        assert plan.slots[0].dst == Rect(0, 0, 80, 150)
-        assert plan.slots[2].dst == Rect(80, 0, 145, 75)
-        assert plan.slots[1].dst == Rect(80, 75, 140, 145)
+        assert fits(boxes) is not None
+        dsts = flush_dsts(boxes)
+        assert dsts[0] == Rect(0, 0, 80, 150)
+        assert dsts[2] == Rect(80, 0, 145, 75)
+        assert dsts[1] == Rect(80, 75, 140, 145)
 
     def test_stack_height_budget_enforced(self):
         # Column widths fit (80 + 70 <= 150) but the second column stacks
         # 90 + 80 = 170 > 150.
         boxes = [Rect(0, 0, 80, 150), Rect(100, 0, 170, 90), Rect(200, 100, 265, 180)]
-        assert place_and_fit(boxes, choose_layout(boxes), SRC, DST) is None
+        assert fits(boxes) is None
 
     @pytest.mark.parametrize("flip", [False, True], ids=["columns", "rows"])
     def test_stack_exactly_the_destination_side_fits(self, flip):
         # The second group stacks 90 + 60 = 150, the destination side; one
         # more pixel does not fit. Transposed, the groups are rows.
         orient = transposed if flip else (lambda r: r)
-
-        def placed(boxes):
-            boxes = [orient(b) for b in boxes]
-            return place_and_fit(boxes, choose_layout(boxes), SRC, DST)
-
         pair = [Rect(0, 0, 60, 100), Rect(100, 0, 160, 90)]
-        plan = placed(pair + [Rect(200, 100, 260, 160)])
-        assert plan is not None
-        assert [s.dst for s in plan.slots] == [
+        boxes = [orient(b) for b in pair + [Rect(200, 100, 260, 160)]]
+        assert fits(boxes) == as_lists(boxes)
+        assert _flush(as_lists(boxes), choose_layout(boxes))[1] == 150.0
+        assert flush_dsts(boxes) == [
             orient(Rect(0, 0, 60, 100)),
             orient(Rect(60, 0, 120, 90)),
             orient(Rect(60, 90, 120, 150)),
         ]
-        assert placed(pair + [Rect(200, 100, 260, 161)]) is None
+        assert fits([orient(b) for b in pair + [Rect(200, 100, 260, 161)]]) is None
 
     def test_box_count_must_match_layout(self):
         boxes = [Rect(0, 0, 30, 100), Rect(50, 0, 80, 90)]
         with pytest.raises(ValueError):
-            place_and_fit(boxes[:1], choose_layout(boxes), SRC, DST)
+            place_and_fit(boxes[:1], choose_layout(boxes), DST)
+
+    def test_returns_fresh_lists(self):
+        boxes = [Rect(0, 0, 30, 100), Rect(50, 0, 80, 90)]
+        first, second = fits(boxes), fits(boxes)
+        assert first == second and first is not second
+        assert all(a is not b for a, b in zip(first, second))
+
+
+class TestSlotsBuiltOnce:
+    """The fit test builds no slot, rect or plan; a packed frame builds each
+    slot and its plan once, and a frame that does not fit builds none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = dict.fromkeys(("Rect", "PackSlot", "PackPlan"), 0)
+        for name in counts:
+            cls = getattr(packing, name)
+
+            def counted(*args, _cls=cls, _name=name, **kwargs):
+                counts[_name] += 1
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(packing, name, counted)
+        return counts
+
+    def test_place_and_fit_builds_no_rect_slot_or_plan(self, built):
+        rng = np.random.default_rng(11)
+        cases = [merge_overlaps(random_rois(rng, int(rng.integers(1, 5)))) for _ in range(300)]
+        cases = [(m, choose_layout(m)) for m in cases if len(m) <= MAX_SLOTS]
+        built.update(dict.fromkeys(built, 0))
+        outcomes = {place_and_fit(m, layout, DST) is None for m, layout in cases}
+        assert outcomes == {False, True}
+        assert built == {"Rect": 0, "PackSlot": 0, "PackPlan": 0}
+
+    def test_pack_builds_each_slot_once(self, built):
+        rng = np.random.default_rng(12)
+        packed = unfit = 0
+        for _ in range(300):
+            boxes = random_rois(rng, int(rng.integers(1, 5)))
+            built.update(dict.fromkeys(built, 0))
+            plan = pack(boxes, SRC, DST)
+            if plan is None:
+                unfit += len(merge_overlaps(boxes)) <= MAX_SLOTS
+                assert built["PackSlot"] == built["PackPlan"] == 0
+            else:
+                packed += 1
+                assert built["PackSlot"] == len(plan.slots) and built["PackPlan"] == 1
+                assert all(s.scale_x == s.scale_y == 1.0 for s in plan.slots)
+        assert packed > 50 and unfit > 50
 
 
 class TestExpandGreedy:
@@ -320,13 +373,13 @@ class TestExpandGreedy:
             if len(merged) > MAX_SLOTS:
                 continue
             layout = choose_layout(merged)
-            placed = place_and_fit(merged, layout, SRC, DST)
-            if placed is None:
+            src = place_and_fit(merged, layout, DST)
+            if src is None:
                 continue
-            grown = expand_greedy(placed, layout)
-            for before, after in zip(placed.slots, grown.slots):
-                assert after.src.contains(before.src)
-                assert after.src.area >= before.src.area
+            grown = expand_greedy(src, layout, SRC, DST)
+            for before, after in zip(merged, grown.slots):
+                assert after.src.contains(before)
+                assert after.src.area >= before.area
 
     def test_neighbors_freeze_on_contact(self):
         boxes = [Rect(0, 0, 30, 100), Rect(40, 0, 70, 100)]

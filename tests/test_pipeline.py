@@ -1,6 +1,7 @@
 import pytest
 
 from roipack.costmodel import CostParams, CostReport, DecisionKind, FrameDecision
+from roipack import packing
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import pack
 from roipack.pipeline import (
@@ -223,3 +224,47 @@ class TestRunVideo:
         assert run.cost is not None
         assert run.cost.baseline == 500.0
         assert run.cost.total == 100.0
+
+
+class TestPackingTraceContract:
+    """The benchmark's tracer wraps `roipack.packing.place_and_fit` and
+    `expand_greedy` by name and derives the fit ratio and the count of
+    frames with too many regions from their calls. So `pack` calls both as
+    module globals: place_and_fit exactly when the merge leaves at most
+    MAX_SLOTS boxes, with a result exactly when they fit, and expand_greedy
+    exactly on the frames that are packed."""
+
+    def test_spied_calls_match_the_decisions(self, monkeypatch):
+        calls = dict.fromkeys(("pack", "crowded", "placed", "fit", "expanded"), 0)
+        place_and_fit, expand_greedy = packing.place_and_fit, packing.expand_greedy
+
+        def spied_place_and_fit(*args):
+            result = place_and_fit(*args)
+            calls["placed"] += 1
+            calls["fit"] += result is not None
+            return result
+
+        def spied_expand_greedy(*args):
+            calls["expanded"] += 1
+            return expand_greedy(*args)
+
+        def packer(rois, source, dest):
+            calls["pack"] += 1
+            calls["crowded"] += len(packing.merge_overlaps(rois)) > packing.MAX_SLOTS
+            return packing.pack(rois, source, dest)
+
+        monkeypatch.setattr(packing, "place_and_fit", spied_place_and_fit)
+        monkeypatch.setattr(packing, "expand_greedy", spied_expand_greedy)
+        packed = 0
+        # One video packs its frames, one does not fit and one has too many
+        # regions.
+        for seed, objects in [(0, (1, 4)), (1, (1, 4)), (0, (5, 6))]:
+            params = SyntheticParams(frames=30, seed=seed, num_objects=objects, occupancy_target=0.1)
+            frames = gen_synthetic(params)
+            run = run_video(len(frames), CFG, SimulatedDetector(frames, NoiseModel(seed=1)),
+                            packer=packer)
+            packed += sum(r.decision.kind is DecisionKind.PACKED for r in run.records)
+        assert calls["fit"] == calls["expanded"] == packed
+        assert calls["pack"] - calls["placed"] == calls["crowded"]
+        # Every outcome occurs: packed, too many regions, and boxes that do not fit.
+        assert packed > 0 and calls["crowded"] > 0 and calls["placed"] > calls["fit"], calls

@@ -1,7 +1,8 @@
 """Import structure: the simulated detector is a leaf that only the CLI
 imports, no import cycle is hidden behind TYPE_CHECKING, the package root
-re-exports nothing, no module imports a name it does not use, and each run
-result is built only by the module that defines it."""
+re-exports nothing, no module imports a name it does not use, each run
+result and packing plan is built only by the module that defines it, and the
+packer's fit test builds no rect, slot or plan."""
 
 import ast
 import os
@@ -79,12 +80,36 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-def test_run_results_are_built_only_where_they_are_defined():
-    owners = {"EvalReport": "evaluation", "CostReport": "costmodel", "VideoRun": "pipeline"}
-    builders = {
-        (node.func.id, name)
-        for name, tree in parsed_modules().items()
+def called_names(tree: ast.AST) -> set[str]:
+    return {
+        node.func.id
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in owners
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_run_results_are_built_only_where_they_are_defined():
+    owners = {
+        "EvalReport": "evaluation",
+        "CostReport": "costmodel",
+        "VideoRun": "pipeline",
+        "PackPlan": "packing",
+        "PackSlot": "packing",
+    }
+    builders = {
+        (called, name)
+        for name, tree in parsed_modules().items()
+        for called in called_names(tree)
+        if called in owners
     }
     assert builders == set(owners.items())
+
+
+def test_the_fit_test_builds_no_rect_slot_or_plan():
+    functions = {
+        node.name: node
+        for node in parsed_modules()["packing"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("place_and_fit", "_flush"):
+        assert called_names(functions[name]) & {"Rect", "PackSlot", "PackPlan"} == set(), name
