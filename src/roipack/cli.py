@@ -23,8 +23,6 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 
-import numpy as np
-
 from .costmodel import CostParams, aggregate
 from .evaluation import evaluate_detections, match_frame
 from .formats import (
@@ -153,6 +151,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         frame=frame_spec,
         num_classes=args.classes,
     )
+    import numpy as np  # here, not at module level: `run` loads no numpy
+
     video_seeds = np.random.SeedSequence(args.seed).generate_state(args.videos)
     total = 0
 

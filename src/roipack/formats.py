@@ -345,7 +345,8 @@ def write_jsonl(path: str, records: Iterable[dict]):
     record json cannot encode raises TypeError, and any failure, in either
     process, leaves neither a partial file nor the temporary one. On Python
     3.12 and later the fork warns (DeprecationWarning) when numpy's OpenBLAS
-    pool has started threads; the helper calls no numpy, so this is harmless.
+    pool has started threads. Of the commands that write JSON lines only
+    `gen` loads numpy, and the helper calls none, so this is harmless.
     """
     with replacing(path) as fh:
         encode = _encode_in_child if hasattr(os, "fork") else _encode

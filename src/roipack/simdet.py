@@ -22,7 +22,10 @@ draws for one object (four normals for the edge jitter, one uniform for
 the margin miss) depend on nothing but that key, and every video of a run
 reuses the same frame ids and object indices, so they are memoized per
 (seed, frame_id, object index) in a bounded cache instead of building a
-generator per detected object.
+generator per detected object. They are the draws numpy's
+`default_rng(key)` makes, computed bit for bit by the pure-Python PCG64,
+SeedSequence and ziggurat port in `_pcg64`, so the detector, and with it
+`roipack run`, never loads numpy; only the generator (`gen`) does.
 
 A full view reports every object, and it is the view most frames of a
 crowded run fall back to, so its loop reads the noise knobs and the frame
@@ -45,8 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._pcg64 import PCG64
 from .geometry import FrameSpec, Rect, intersection, intersects
 from .packing import PackSlot
 from .pipeline import Detection, FullView, GroundTruthFrame, GtObject, View
@@ -81,16 +83,22 @@ _PLACEMENT_TRIES = 25
 _DETECT_DRAWS_CACHE_SIZE = 4096
 
 
-def _rng(*key: int) -> np.random.Generator:
+def _rng(*key: int) -> "np.random.Generator":
+    import numpy as np
+
     return np.random.default_rng(list(key))
 
 
 @functools.lru_cache(maxsize=_DETECT_DRAWS_CACHE_SIZE)
 def _detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[float, ...], float]:
-    """Edge-jitter normals and margin-miss uniform for one detected object."""
-    rng = _rng(seed, _STREAM_DETECT, frame_id, idx)
-    z = tuple(rng.standard_normal(4).tolist())
-    return z, rng.uniform()
+    """Edge-jitter normals and margin-miss uniform for one detected object.
+
+    They equal, to the bit, `standard_normal(4)` then `uniform()` of
+    `numpy.random.default_rng([seed, _STREAM_DETECT, frame_id, idx])`.
+    """
+    rng = PCG64.from_key((seed, _STREAM_DETECT, frame_id, idx))
+    normal = rng.standard_normal
+    return (normal(), normal(), normal(), normal()), rng.next_double()
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,7 +312,7 @@ class SyntheticParams:
             raise ValueError("num_classes must be >= 1")
 
 
-def _sample_occupancy(rng: np.random.Generator, target: float) -> float:
+def _sample_occupancy(rng: "np.random.Generator", target: float) -> float:
     mean_total = _OCC_CALIBRATION * target
     mean_sparse = _OCC_SPARSE_FRAC * mean_total
     if rng.uniform() < _OCC_SPARSE_WEIGHT:
@@ -327,6 +335,8 @@ def _reflect(pos: float, lo: float, hi: float) -> tuple[float, bool]:
 
 def gen_synthetic(params: SyntheticParams) -> list[GroundTruthFrame]:
     """Generate one video as a list of ground-truth frames (ids 0..n-1)."""
+    import numpy as np
+
     side = params.frame.side
     init = _rng(params.seed, _STREAM_INIT)
     n = int(init.integers(params.num_objects[0], params.num_objects[1] + 1))

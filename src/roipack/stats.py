@@ -4,8 +4,6 @@ import csv
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .formats import replacing
 from .geometry import FrameSpec, intersection, union_area
 from .pipeline import GroundTruthFrame
@@ -73,6 +71,8 @@ def histogram(
     lo, hi = value_range
     if not lo < hi:
         raise ValueError("value_range must be increasing")
+    import numpy as np  # here, not at module level: `run` loads no numpy
+
     counts, edges = np.histogram(values, bins=bin_count, range=(lo, hi))
     return Histogram(
         edges=tuple(float(e) for e in edges),

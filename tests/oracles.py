@@ -57,7 +57,6 @@ from roipack.simdet import (
     _context_margin,
     _covering_slot,
     _jittered,
-    _rng,
     base_confidence,
 )
 
@@ -425,12 +424,14 @@ def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel)
     whose center falls inside some slot's src are visible; their boxes are
     mapped through the slot transform and clipped to the slot's dst, and
     the degradation knobs apply. Deterministic given (seed, frame, view).
+    Each object's draws come straight from numpy's `default_rng`, so this
+    reference shares no code with the detector's own draws.
     """
     out: list[Detection] = []
     if isinstance(view, FullView):
         bounds = view.frame.bounds
         for idx, obj in enumerate(gt.objects):
-            rng = _rng(noise.seed, _STREAM_DETECT, gt.frame_id, idx)
+            rng = np.random.default_rng([noise.seed, _STREAM_DETECT, gt.frame_id, idx])
             z = rng.standard_normal(4)
             rng.uniform()  # keep the stream aligned with the reduced path
             conf = base_confidence(noise, obj.rect.area / view.frame.area)
@@ -445,7 +446,7 @@ def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel)
     dest_bounds = plan.dest.bounds
     margin_min, p_miss = noise.margin_miss
     for idx, obj in enumerate(gt.objects):
-        rng = _rng(noise.seed, _STREAM_DETECT, gt.frame_id, idx)
+        rng = np.random.default_rng([noise.seed, _STREAM_DETECT, gt.frame_id, idx])
         z = rng.standard_normal(4)
         u = rng.uniform()
         cx, cy = obj.rect.center

@@ -1,13 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from oracles import reference_oracle_detect
 
+from roipack._pcg64 import _FI, _KI, _NOR_R, _PCG_MULT, _WI, PCG64
 from roipack.geometry import FrameSpec, Rect, union_area
 from roipack.packing import PackMethod, PackPlan, PackSlot, pack, pack_naive
 from roipack.pipeline import FullView, GroundTruthFrame, GtObject, ReducedView
 from roipack.simdet import (
+    _STREAM_DETECT,
     NoiseModel,
     SimulatedDetector,
     SyntheticParams,
@@ -344,6 +347,126 @@ class TestDetectMatchesReference:
             _detect_draws(1, key, 0)
         assert _detect_draws.cache_info().currsize <= maxsize
         _detect_draws.cache_clear()
+
+
+def numpy_draws(rng: np.random.Generator) -> tuple[tuple[float, ...], float]:
+    return tuple(rng.standard_normal(4).tolist()), rng.uniform()
+
+
+def port_draws(rng: PCG64) -> tuple[tuple[float, ...], float]:
+    normal = rng.standard_normal
+    return (normal(), normal(), normal(), normal()), rng.next_double()
+
+
+def raw_state_for(first: int, second=None, inc=None) -> tuple[int, int]:
+    """A raw PCG64 (state, inc) whose next next64 outputs are `first` and
+    then, but for its lowest bit, `second`: each step lands on the output
+    itself, whose high half is 0, so XSL-RR passes it through unrotated.
+    With one output the increment `inc` is given; with two it is solved
+    for, and the lowest bit of `second` is chosen to make it odd."""
+    if second is not None:
+        second = second & ~1 | (first & 1) ^ 1
+        inc = (second - first * _PCG_MULT) % 2**128
+    return (first - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128, inc
+
+
+def numpy_from_raw(state: int, inc: int) -> np.random.Generator:
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
+
+
+class TestDrawsEqualNumpy:
+    """The detector's draws are numpy's `default_rng(key)` draws, to the bit."""
+
+    def test_keys_of_several_entropy_words(self):
+        rnd = random.Random(20261019)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 18446744073709551621, 2**70 + 5]
+        frame_ids = [0, 1, 2**32 - 1, 2**32, 2**40 + 3]
+        keys = [(s, f, i) for s in seeds for f in frame_ids for i in (0, 3, 2**32)]
+        for _ in range(3000):
+            keys.append((
+                rnd.getrandbits(rnd.choice([1, 16, 32, 33, 64, 65, 70])),
+                rnd.getrandbits(rnd.choice([1, 12, 33, 40])),
+                rnd.randrange(8),
+            ))
+        for seed, frame_id, idx in keys:
+            want = numpy_draws(np.random.default_rng([seed, _STREAM_DETECT, frame_id, idx]))
+            assert _detect_draws.__wrapped__(seed, frame_id, idx) == want, (seed, frame_id, idx)
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 9])
+    def test_keys_shorter_and_longer_than_the_pool(self, length):
+        rnd = random.Random(length)
+        for _ in range(50):
+            key = [rnd.getrandbits(rnd.choice([1, 32, 64])) for _ in range(length)]
+            want = numpy_draws(np.random.default_rng(key))
+            assert port_draws(PCG64.from_key(key)) == want, key
+
+    def test_negative_key_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([1, _STREAM_DETECT, -1, 0])
+        with pytest.raises(ValueError):
+            PCG64.from_key((1, _STREAM_DETECT, -1, 0))
+
+    def test_a_million_normals_from_one_key(self):
+        key = (7, _STREAM_DETECT, 2**33 + 1, 2)
+        want = np.random.default_rng(list(key)).standard_normal(1_000_000).tolist()
+        normal = PCG64.from_key(key).standard_normal
+        assert [normal() for _ in range(1_000_000)] == want
+
+    def test_every_ziggurat_layer_edge_and_the_tail(self):
+        # The next draw outputs r = rabs << 9 | sign << 8 | idx when the LCG
+        # steps to r itself (high half 0, so XSL-RR rotates by 0). Just below
+        # KI[idx] the draw returns rabs * WI[idx] at once; at KI[idx] it takes
+        # the wedge test on FI[idx - 1] and FI[idx], or for idx 0 the tail.
+        inc = PCG64.from_key((7, _STREAM_DETECT, 0, 0)).inc
+        fast = 0
+        tail_signs = set()
+        for idx in range(256):
+            rabs_values = [_KI[idx] - 1, _KI[idx]] if _KI[idx] else [0]
+            if idx == 0:
+                rabs_values.append(_KI[0] + (1 << 8))  # the tail's other sign
+            for rabs in rabs_values:
+                for sign in (0, 1):
+                    state, _ = raw_state_for(rabs << 9 | sign << 8 | idx, inc=inc)
+                    want = numpy_draws(numpy_from_raw(state, inc))
+                    assert port_draws(PCG64(state, inc)) == want, (idx, rabs, sign)
+                    if rabs < _KI[idx]:
+                        assert want[0][0] == (-1.0 if sign else 1.0) * rabs * _WI[idx]
+                        fast += 1
+                    elif idx == 0:
+                        assert abs(want[0][0]) > _NOR_R
+                        tail_signs.add(want[0][0] > 0)
+        assert fast == 2 * 255 and tail_signs == {False, True}
+
+    def test_every_wedge_test_on_both_sides_of_its_tie(self):
+        # Mid-layer, the wedge test accepts x for every uniform draw up to
+        # some n * 2**-53 and rejects it above. Found with the port's
+        # tables, numpy must agree on both sides of that edge, which pins
+        # FI[idx] to the bit.
+        for idx in range(1, 256):
+            rabs = (_KI[idx] + 2**52) // 2
+            x = rabs * _WI[idx]
+            bound = math.exp(-0.5 * x * x)
+
+            def accepts(n):
+                return (_FI[idx - 1] - _FI[idx]) * (n * 2.0**-53) + _FI[idx] < bound
+
+            lo, hi = 0, 2**53 - 1
+            assert accepts(lo) and not accepts(hi), idx
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+            for n in (lo, hi):
+                state, inc = raw_state_for(rabs << 9 | idx, n << 11)
+                want = numpy_draws(numpy_from_raw(state, inc))
+                assert port_draws(PCG64(state, inc)) == want, (idx, n)
+                assert (want[0][0] == x) == (n == lo), (idx, n)
 
 
 class TestSyntheticParams:

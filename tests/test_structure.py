@@ -1,8 +1,9 @@
 """Import structure: the simulated detector is a leaf that only the CLI
 imports, no import cycle is hidden behind TYPE_CHECKING, the package root
 re-exports nothing, no module imports a name it does not use, each run
-result and packing plan is built only by the module that defines it, and the
-packer's fit test builds no rect, slot or plan."""
+result and packing plan is built only by the module that defines it, the
+packer's fit test builds no rect, slot or plan, and neither importing the
+CLI nor `roipack run` loads numpy."""
 
 import ast
 import os
@@ -49,6 +50,30 @@ def test_core_modules_do_not_load_the_simulator(module):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_run_loads_no_numpy(tmp_path):
+    from roipack.cli import main
+
+    ann = tmp_path / "ann.jsonl"
+    assert main(["gen", "--videos", "3", "--frames", "12", "--seed", "5", "--out", str(ann)]) == 0
+    code = (
+        "import sys\n"
+        "import roipack.cli\n"
+        "assert 'numpy' not in sys.modules, 'import roipack.cli loaded numpy'\n"
+        f"assert roipack.cli.main(['run', {str(ann)!r}, '--out', {str(tmp_path / 'r.jsonl')!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'roipack run loaded numpy'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    # Under -X dev every warning shows; a DeprecationWarning, such as the one
+    # Python 3.12 gives for forking a process that has started threads,
+    # fails the run.
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-c", code],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "r.jsonl").stat().st_size > 0
 
 
 def test_only_the_cli_imports_the_simulator():
