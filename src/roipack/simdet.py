@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._pcg64 import PCG64
 from .geometry import FrameSpec, Rect, intersection, intersects
 from .packing import PackSlot
 from .pipeline import Detection, FullView, GroundTruthFrame, GtObject, View
@@ -96,6 +95,8 @@ def _detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[float, ...]
     They equal, to the bit, `standard_normal(4)` then `uniform()` of
     `numpy.random.default_rng([seed, _STREAM_DETECT, frame_id, idx])`.
     """
+    from ._pcg64 import PCG64  # here, so that `gen` and `stats` never load it
+
     rng = PCG64.from_key((seed, _STREAM_DETECT, frame_id, idx))
     normal = rng.standard_normal
     return (normal(), normal(), normal(), normal()), rng.next_double()
