@@ -1,11 +1,13 @@
 """Command line front end: generate data, run the pipeline, report stats.
 
-`run` streams each video's result records into the results file as soon as
-the video has run, and matches each frame's detections to its ground truth
-as the frame's record is written. Of a frame it keeps only its decision and
-one (class, confidence, hit) per detection; each video's frames and
-detections are dropped once its lines are written, and the matches of all
-classes are ranked in one pass at the end.
+`run` pulls one video at a time out of the annotation file: it parses the
+video's lines, runs them, matches each frame's detections to its ground
+truth as the frame's record is written, hands the records to the results
+writer and drops the video. Of a frame it keeps only its decision and, per
+detection, a confidence and a hit flag in per-class columns
+(`evaluation.Scores`), which are ranked once at the end. That needs the
+videos one after another in name order; a file that breaks that order is
+run again from the start, read whole.
 
 Commands run with the cyclic garbage collector off: their data are acyclic
 (frozen dataclasses, tuples, dicts) that reference counting frees, so full
@@ -17,16 +19,18 @@ import gc
 import math
 import os
 import sys
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import replace
 from functools import reduce
-from operator import add
+from itertools import groupby
+from operator import add, itemgetter
 from pathlib import Path
 
 from .costmodel import CostParams, aggregate
-from .evaluation import evaluate_detections, match_frame
+from .evaluation import Scores, evaluate_detections, match_frame
 from .formats import (
     AnnotationError,
+    iter_frames,
     read_annotations,
     result_record,
     temporary,
@@ -169,6 +173,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Unordered(Exception):
+    """An annotation file's videos are not one after another in name order."""
+
+
+def _videos_in_name_order(reader):
+    """`iter_frames` pairs grouped into (video, frames) pairs, one video at
+    a time.
+
+    Raises:
+        _Unordered: when a video's name does not come after the one before.
+    """
+    last = None
+    for name, pairs in groupby(reader, key=itemgetter(0)):
+        if last is not None and name < last:
+            raise _Unordered
+        last = name
+        yield name, [frame for _, frame in pairs]
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     summary_path = str(Path(args.out).with_suffix("")) + ".summary.json"
     _refuse_overwrite(f"--out {args.out}", (args.out, summary_path), args.annotations)
@@ -180,9 +203,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cost_params = CostParams.for_frames(
         s1, s2, pack_overhead=args.pack_overhead, skip_cost=args.skip_cost
     )
-    videos = read_annotations(args.annotations, s1)
-    if not videos:
-        raise ValueError(f"no frames in {args.annotations}")
     packer = pack_naive if args.mode == "naive" else pack
     noise = (
         NoiseModel.disabled(seed=args.seed)
@@ -190,26 +210,44 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else NoiseModel(seed=args.seed)
     )
 
-    video_count = len(videos)
-    decisions = []
-    matches = []
+    def run_videos(videos):
+        """Run, score and write each (name, frames) pair of `videos`, in
+        the order given; return the video count, every frame's decision and
+        the evaluation."""
+        decisions = []
+        scores = Scores()
+        count = 0
 
-    def records():
-        # Videos run in name order and frames in id order, which is the frame
-        # order scoring ranks by. Each video leaves `videos` as it runs, so
-        # its frames and detections are freed once its lines are written.
-        for name in sorted(videos):
-            frames = videos.pop(name)
-            detector = SimulatedDetector(frames, noise)
-            run = run_video(len(frames), config, detector, cost_params, packer)
-            for frame, rec in zip(frames, run.records):
-                decisions.append(rec.decision)
-                matches.append(match_frame(rec.detections, frame.objects))
-                yield result_record(name, frame, rec.decision, rec.detections, s1)
+        def records():
+            nonlocal count
+            for name, frames in videos:
+                count += 1
+                detector = SimulatedDetector(frames, noise)
+                run = run_video(len(frames), config, detector, cost_params, packer)
+                for frame, rec in zip(frames, run.records):
+                    decisions.append(rec.decision)
+                    scores.add(match_frame(rec.detections, frame.objects))
+                    yield result_record(name, frame, rec.decision, rec.detections, s1)
+            if not count:
+                raise ValueError(f"no frames in {args.annotations}")
 
-    write_jsonl(args.out, records())
+        write_jsonl(args.out, records())
+        return count, decisions, evaluate_detections(scores)
+
+    # Videos run in name order and frames in id order, which is the frame
+    # order scoring ranks by. A file whose videos come one after another in
+    # that order runs as it is read, one video in memory at a time; any
+    # other file is read whole and run again from the start.
+    try:
+        with closing(iter_frames(args.annotations, s1)) as reader:
+            outcome = run_videos(_videos_in_name_order(reader))
+    except _Unordered:
+        outcome = None
+    if outcome is None:
+        videos = read_annotations(args.annotations, s1)
+        outcome = run_videos((name, videos.pop(name)) for name in sorted(videos))
+    video_count, decisions, report = outcome
     cost = aggregate(decisions, cost_params)
-    report = evaluate_detections(matches)
     summary = {
         "annotations": args.annotations,
         "mode": args.mode,

@@ -5,11 +5,13 @@ run: its detections, highest confidence first (a stable sort keeps input
 order among ties), each take the highest-IoU still-unmatched ground-truth
 box of their class in that frame, and a match needs at least the IoU
 threshold. IoU is computed inline with the float operations of
-`geometry.iou`. What it keeps of a frame is one (class, confidence, hit)
-per detection and the frame's ground-truth count per class.
-`evaluate_detections` then ranks each class's detections over all frames
-by (descending confidence, frame position, rank within the frame) and
-integrates the precision envelope over all recall points.
+`geometry.iou`. It returns one (class, confidence, hit) per detection and
+the frame's ground-truth count per class, and `Scores` appends those to
+per-class columns: the confidences as doubles, the hits as bytes, and the
+ground-truth count. `evaluate_detections` then ranks each class's
+detections over all frames by (descending confidence, frame position, rank
+within the frame) and integrates the precision envelope over all recall
+points.
 
 This is exactly greedy matching over the global ranking (descending
 confidence, then frame key, then input order). A match removes a box only
@@ -19,9 +21,10 @@ order, the frames give the same hits in the same ranks, so every AP is the
 same to the bit.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .pipeline import Detection, GtObject
@@ -114,48 +117,79 @@ class EvalReport:
         }
 
 
-def evaluate_detections(frames: Iterable[FrameMatch]) -> EvalReport:
-    """Score `match_frame` results, given in frame order, over every
-    annotated class; with no ground truth, per_class is empty and mean_ap
-    is None."""
-    npos: dict[int, int] = {}
-    ranked: dict[int, list[tuple[int, float, bool]]] = {}
-    num_detections = 0
-    for matched, gt_counts in frames:
+class Scores:
+    """The `match_frame` results of a run, kept as compact columns.
+
+    Per class it holds the confidences (an array of doubles), the hits (a
+    bytearray) in the order they were added, and the ground-truth count;
+    nothing per frame or per detection is kept as a Python object.
+    """
+
+    __slots__ = ("columns", "npos", "num_detections")
+
+    def __init__(self, frames: Iterable[FrameMatch] = ()):
+        self.columns: dict[int, tuple[array, bytearray]] = {}
+        self.npos: dict[int, int] = {}
+        self.num_detections = 0
+        for frame in frames:
+            self.add(frame)
+
+    def add(self, frame: FrameMatch) -> None:
+        """Append one frame's matches; frames must come in frame order."""
+        matched, gt_counts = frame
+        npos = self.npos
         for class_id, count in gt_counts.items():
             npos[class_id] = npos.get(class_id, 0) + count
-        num_detections += len(matched)
-        for row in matched:
-            ranked.setdefault(row[0], []).append(row)
+        self.num_detections += len(matched)
+        columns = self.columns
+        for class_id, confidence, hit in matched:
+            column = columns.get(class_id)
+            if column is None:
+                column = columns[class_id] = (array("d"), bytearray())
+            column[0].append(confidence)
+            column[1].append(hit)
 
-    per_class: dict[int, Optional[float]] = {}
-    for class_id in sorted(npos):
-        class_npos = npos[class_id]
-        class_ranked = ranked.pop(class_id, [])
-        # The rows are in frame order, and a stable sort keeps it among equal
-        # confidences: the rank is (-confidence, frame position, rank within
-        # the frame), with no key tuple built per detection.
-        class_ranked.sort(key=itemgetter(1), reverse=True)
-        tp = 0
-        recalls: list[float] = []
-        precisions: list[float] = []
-        for rank, (_, _, hit) in enumerate(class_ranked, start=1):
-            tp += hit
-            recalls.append(tp / class_npos)
+
+def _average_precision(confidences: array, hits: bytearray, npos: int) -> float:
+    """All-points interpolated AP of one class's columns.
+
+    The detections are ranked by descending confidence, and the stable sort
+    keeps the order they were added in among equal ones. Recall steps up
+    only at a hit and precision falls at every miss, so the precision
+    envelope at a hit, the highest precision at its rank or any later one,
+    is the highest of the hits' precisions from there on. The recall steps
+    are summed left to right with the float operations of a per-detection
+    recall/precision table, so the AP is the same to the bit.
+    """
+    order = sorted(range(len(confidences)), key=confidences.__getitem__, reverse=True)
+    precisions = array("d")  # at each hit, in rank order
+    tp = 0
+    for rank, idx in enumerate(order, start=1):
+        if hits[idx]:
+            tp += 1
             precisions.append(tp / rank)
-        # All-points interpolation: integrate the monotone precision envelope.
-        mrec = [0.0] + recalls + [1.0]
-        mpre = [0.0] + precisions + [0.0]
-        for i in range(len(mpre) - 2, -1, -1):
-            mpre[i] = max(mpre[i], mpre[i + 1])
-        ap = 0.0
-        for i in range(len(mrec) - 1):
-            if mrec[i + 1] != mrec[i]:
-                ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
-        per_class[class_id] = ap
+    for i in range(len(precisions) - 2, -1, -1):
+        precisions[i] = max(precisions[i], precisions[i + 1])
+    ap = 0.0
+    recall = 0.0
+    for tp, precision in enumerate(precisions, start=1):
+        step = tp / npos
+        ap += (step - recall) * precision
+        recall = step
+    return ap
+
+
+def evaluate_detections(scores: Scores) -> EvalReport:
+    """Score the matches in `scores` over every annotated class; with no
+    ground truth, per_class is empty and mean_ap is None."""
+    empty = (array("d"), bytearray())
+    per_class: dict[int, Optional[float]] = {
+        class_id: _average_precision(*scores.columns.get(class_id, empty), class_npos)
+        for class_id, class_npos in sorted(scores.npos.items())
+    }
     return EvalReport(
         per_class=per_class,
         mean_ap=mean_average_precision(per_class) if per_class else None,
-        num_detections=num_detections,
-        num_ground_truth=sum(npos.values()),
+        num_detections=scores.num_detections,
+        num_ground_truth=sum(scores.npos.values()),
     )

@@ -6,7 +6,9 @@ Annotations are JSON Lines, one frame per line:
         {"class": 1, "x0": 0.1, "y0": 0.2, "x1": 0.4, "y1": 0.5}, ...]}
 
 Coordinates are normalized to [0, 1] and scaled to the working frame side
-on ingest. Result files mirror the input records and add the processing
+on ingest. `iter_frames` parses and checks one line at a time and yields
+each frame as its line is read; `read_annotations` groups them per video.
+Result files mirror the input records and add the processing
 decision and the detections (with confidence); packed frames also carry
 their plan in working-frame pixels. Annotation lines and result lines share
 one frame encoder, `_frame_entry`, and one writer, `write_jsonl`.
@@ -137,17 +139,19 @@ def _parse_object(raw: object, side: float, where: str) -> GtObject:
     return GtObject(class_id, Rect(*rect))
 
 
-def read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, list[GroundTruthFrame]]:
-    """Parse an annotation file into per-video frame lists.
+def iter_frames(path: str, frame_spec: FrameSpec) -> Iterator[tuple[str, GroundTruthFrame]]:
+    """Parse an annotation file line by line into (video, frame) pairs, in
+    file order.
 
-    Frames keep file order per video and must carry strictly increasing
-    frame ids. Any malformed line raises AnnotationError naming the line.
-    Each object is first tried against exact types (an int class, float
-    coordinates) with plain comparisons, which accept a well-formed entry
-    without a call per rule; only an entry that fails them goes through
-    the full checks, which name the first rule it breaks.
+    A video's frames must carry strictly increasing frame ids, wherever its
+    lines are in the file. Any malformed line raises AnnotationError naming
+    the line, once the lines before it have been yielded. Each object is
+    first tried against exact types (an int class, float coordinates) with
+    plain comparisons, which accept a well-formed entry without a call per
+    rule; only an entry that fails them goes through the full checks, which
+    name the first rule it breaks.
     """
-    videos: dict[str, list[GroundTruthFrame]] = {}
+    last_ids: dict[str, int] = {}
     side = frame_spec.side
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -172,12 +176,20 @@ def read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, list[GroundT
             if not isinstance(objects, list):
                 raise AnnotationError(f"{where}: 'objects' must be a list")
             parsed = tuple([_parse_object(raw, side, where) for raw in objects])
-            frames = videos.setdefault(video, [])
-            if frames and frame_id <= frames[-1].frame_id:
+            if last_ids.get(video, -1) >= frame_id:
                 raise AnnotationError(
                     f"{where}: frame ids must be strictly increasing per video"
                 )
-            frames.append(GroundTruthFrame(frame_id, parsed))
+            last_ids[video] = frame_id
+            yield video, GroundTruthFrame(frame_id, parsed)
+
+
+def read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, list[GroundTruthFrame]]:
+    """Parse a whole annotation file into per-video frame lists, each in
+    file order, with the checks and messages of `iter_frames`."""
+    videos: dict[str, list[GroundTruthFrame]] = {}
+    for video, frame in iter_frames(path, frame_spec):
+        videos.setdefault(video, []).append(frame)
     return videos
 
 

@@ -36,7 +36,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from roipack.evaluation import EvalReport, match_frame, mean_average_precision
+from roipack.evaluation import EvalReport, Scores, match_frame, mean_average_precision
 from roipack.formats import AnnotationError
 from roipack.geometry import FrameSpec, Rect, intersection, iou
 from roipack.packing import (
@@ -489,15 +489,15 @@ def _ranked(
 
 
 def matched_frames(detections, ground_truth, iou_threshold=0.5):
-    """Not an oracle: the package's per-frame `match_frame` results for
-    (frame key, object) pairs, in sorted frame-key order, ready for
-    `evaluate_detections`."""
+    """Not an oracle: the package's `Scores` of the per-frame `match_frame`
+    results for (frame key, object) pairs, added in sorted frame-key order,
+    ready for `evaluate_detections`."""
     frames = {}
     for key, det in detections:
         frames.setdefault(key, ([], []))[0].append(det)
     for key, gt in ground_truth:
         frames.setdefault(key, ([], []))[1].append(gt)
-    return [match_frame(*frames[key], iou_threshold) for key in sorted(frames)]
+    return Scores(match_frame(*frames[key], iou_threshold) for key in sorted(frames))
 
 
 def reference_average_precision(

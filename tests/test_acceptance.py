@@ -21,7 +21,7 @@ from oracles import (
     reference_ap,
 )
 from roipack.costmodel import CostParams, DecisionKind, aggregate, frame_cost
-from roipack.evaluation import evaluate_detections, match_frame
+from roipack.evaluation import Scores, evaluate_detections, match_frame
 from roipack.geometry import FrameSpec, Rect, union_area
 from roipack.packing import connected_components, pack, pack_naive
 from roipack.pipeline import Detection, FrameDecision, PipelineConfig, map_back, run_video
@@ -205,8 +205,8 @@ def test_criterion_5_static_noise_free_run_is_lossless():
                 )
                 if coord_dev > 1e-9:
                     failures.append(f"{key}: coordinate deviation {coord_dev}")
-    map_pad = evaluate_detections(matches_pad).mean_ap
-    map_base = evaluate_detections(matches_base).mean_ap
+    map_pad = evaluate_detections(Scores(matches_pad)).mean_ap
+    map_base = evaluate_detections(Scores(matches_base)).mean_ap
     if map_pad - map_base != 0.0:
         failures.append(f"mAP difference {map_pad - map_base!r}")
     criterion(5, "static scenes, noise off: packed run matches full-size run", failures)
@@ -276,7 +276,7 @@ def test_criterion_7_region_aware_packing_beats_naive_packing():
                 run = run_video(len(frames), CFG, detector, packer=packer)
                 for frame, rec in zip(frames, run.records):
                     matches.append(match_frame(rec.detections, frame.objects))
-            scores[packer] = evaluate_detections(matches).mean_ap
+            scores[packer] = evaluate_detections(Scores(matches)).mean_ap
         if not scores[pack] > scores[pack_naive]:
             failures.append(
                 f"seed {seed}: merged-layout {scores[pack]:.4f} vs "

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 import roipack
 from roipack import cli
 from roipack.cli import main
-from roipack.formats import read_annotations
+from roipack.formats import AnnotationError, read_annotations
 from roipack.geometry import FrameSpec
 from roipack.packing import MAX_FRAME_SIDE
 from roipack.pipeline import Detection, GtObject
@@ -355,6 +357,7 @@ class TestDirectoryAtAnOutputPath:
             raise AssertionError("read or generated before the outputs were checked")
 
         monkeypatch.setattr(cli, "read_annotations", refuse)
+        monkeypatch.setattr(cli, "iter_frames", refuse)
         monkeypatch.setattr(cli, "gen_synthetic", refuse)
 
     @pytest.mark.parametrize(
@@ -400,6 +403,7 @@ class TestUnwritableOutputDirectory:
     def unread(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "read_annotations", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "iter_frames", lambda *args: calls.append(args) or iter(()))
         return calls
 
     @pytest.mark.parametrize(
@@ -433,6 +437,7 @@ class TestSettingsCheckedBeforeReading:
         ann = gen(tmp_path, videos="2", frames="5")
         calls = []
         monkeypatch.setattr(cli, "read_annotations", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "iter_frames", lambda *args: calls.append(args) or iter(()))
         before = tree(tmp_path)
         out = str(tmp_path / "r.jsonl")
         assert main(["run", str(ann), "--out", out, "--reduced-size", "400"]) == 1
@@ -547,6 +552,96 @@ class TestRunFailure:
         assert not tmp.exists()
 
 
+class TestUnorderedAnnotations:
+    """A file whose videos do not come one after another in name order is
+    run again from the whole file, and writes what its lines sorted by video
+    write."""
+
+    @staticmethod
+    def reordered(lines):
+        # v0002 first, then v0000 and v0001 line by line.
+        by_video = {}
+        for line in lines:
+            by_video.setdefault(json.loads(line)["video"], []).append(line)
+        first, second, third = (by_video[name] for name in sorted(by_video))
+        interleaved = [line for pair in zip(first, second) for line in pair]
+        return third + interleaved
+
+    @pytest.mark.parametrize("mode", ["pad", "naive", "baseline"])
+    def test_outputs_equal_those_of_the_sorted_file(self, tmp_path, monkeypatch, mode):
+        lines = gen(tmp_path, videos="3", frames="12").read_text().splitlines(keepends=True)
+        readers, whole_reads = [], []
+        real_iter_frames, real_read_annotations = cli.iter_frames, cli.read_annotations
+
+        def keep_reader(*args):
+            readers.append(real_iter_frames(*args))
+            return readers[-1]
+
+        def count_read(*args):
+            whole_reads.append(args)
+            return real_read_annotations(*args)
+
+        monkeypatch.setattr(cli, "iter_frames", keep_reader)
+        monkeypatch.setattr(cli, "read_annotations", count_read)
+        # Both files under one path, which the summary names.
+        ann, out = tmp_path / "a.jsonl", tmp_path / "r.jsonl"
+        outputs = []
+        for text in ("".join(lines), "".join(self.reordered(lines))):
+            ann.write_text(text)
+            assert main(["run", str(ann), "--out", str(out), "--mode", mode]) == 0
+            outputs.append((out.read_bytes(), (tmp_path / "r.summary.json").read_bytes()))
+        assert ann.read_text() != "".join(lines)
+        assert outputs[0] == outputs[1]
+        assert len(whole_reads) == 1  # only the unordered file was read whole
+        # The abandoned reader was closed, and with it the annotation file.
+        assert len(readers) == 2
+        assert all(inspect.getgeneratorstate(r) == inspect.GEN_CLOSED for r in readers)
+        no_child_left()
+
+
+class TestLateAnnotationError:
+    """A bad line in the last video is found after the videos before it
+    were run and handed to the encoder, and fails the run as a bad first
+    line does."""
+
+    LINES = {
+        "malformed object": '{"video": "v0002", "frame": 40, "objects": [{"class": 0}]}',
+        "frame id not increasing": '{"video": "v0002", "frame": 39, "objects": []}',
+    }
+
+    @pytest.mark.parametrize("line", LINES.values(), ids=LINES)
+    def test_exit_1_naming_the_line_and_leaving_older_outputs(
+        self, tmp_path, monkeypatch, capsys, line
+    ):
+        ann = gen(tmp_path, videos="3", frames="40")
+        with ann.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(AnnotationError) as expected:
+            read_annotations(str(ann), FRAME)
+        assert "line 121: " in str(expected.value)
+        out = tmp_path / "out.jsonl"
+        out.write_text("older results\n")
+        (tmp_path / "out.summary.json").write_text("older summary\n")
+        tmp = tmp_path / "out.jsonl.tmp"
+        sent = []
+        real_run_video = cli.run_video
+
+        def spy(*args, **kwargs):
+            sent.append(tmp.exists())
+            return real_run_video(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_video", spy)
+        assert main(["run", str(ann), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        # 80 records of two videos are more than one batch for the encoder.
+        assert sent == [True, True]
+        assert out.read_text() == "older results\n"
+        assert (tmp_path / "out.summary.json").read_text() == "older summary\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data.jsonl", "out.jsonl", "out.summary.json"]
+        no_child_left()
+
+
 class TestRunMemory:
     def test_live_objects_do_not_grow_with_the_run(self, tmp_path, monkeypatch):
         ann = gen(tmp_path, videos="8", frames="20", seed="3")
@@ -556,12 +651,13 @@ class TestRunMemory:
             counts = Counter(type(obj) for obj in gc.get_objects())
             return counts[Detection], counts[GtObject]
 
-        def per_video(path, key):
+        def per_video(path, key, frame=None):
             # Counted from the files, so that the test holds no objects.
             counts = Counter()
             for line in path.read_text().splitlines():
                 rec = json.loads(line)
-                counts[rec["video"]] += len(rec[key])
+                if frame in (None, rec["frame"]):
+                    counts[rec["video"]] += len(rec[key])
             return counts
 
         real_run_video = cli.run_video
@@ -577,14 +673,42 @@ class TestRunMemory:
         assert main(["run", str(ann), "--out", str(out)]) == 0
         gt_per_video = per_video(ann, "objects")
         det_per_video = per_video(out, "detections")
+        first_frame = per_video(ann, "objects", frame=0)
+        last_frame = per_video(ann, "objects", frame=19)
         names = sorted(gt_per_video)
         assert len(live) == len(names) == 8
         for i, (dets, gts) in enumerate(live):
             dets, gts = dets - held_det, gts - held_gt
             assert dets <= max(det_per_video.values()), (i, dets)
-            not_yet_run = sum(gt_per_video[name] for name in names[i:])
-            previous = gt_per_video[names[i - 1]] if i else 0
-            assert not_yet_run <= gts <= not_yet_run + previous, (i, gts)
+            # Live are the video about to run, the first frame of the next
+            # one, whose line ended it, and at most the last frame of the
+            # one before; no other video's frames are.
+            running = gt_per_video[names[i]]
+            around = (last_frame[names[i - 1]] if i else 0) + (
+                first_frame[names[i + 1]] if i + 1 < len(names) else 0)
+            assert running <= gts <= running + around, (i, gts)
+
+
+    def test_traced_peak_grows_little_per_frame(self, tmp_path, capsys):
+        # The encoder is a forked process, so tracemalloc sees only what
+        # `run` itself holds: per frame, its decision and the scores of its
+        # detections, and not its parsed objects or its matches.
+        crowded = dict(frames="20", seed="7", min_objects="4", max_objects="8",
+                       occupancy="0.35")
+        small = gen(tmp_path, "small.jsonl", videos="5", **crowded)
+        large = gen(tmp_path, "large.jsonl", videos="40", **crowded)
+
+        def traced_peak(ann):
+            tracemalloc.start()
+            try:
+                assert main(["run", str(ann), "--out", str(tmp_path / "r.jsonl")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(small)  # the first run also loads the detector's draw tables
+        per_frame = (traced_peak(large) - traced_peak(small)) / ((40 - 5) * 20)
+        assert per_frame < 500, per_frame
 
 
 class TestGarbageCollection:

@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from oracles import (
     reference_average_precision,
     reference_evaluate_detections,
 )
-from roipack.evaluation import evaluate_detections, match_frame, mean_average_precision
+from roipack.evaluation import Scores, evaluate_detections, match_frame, mean_average_precision
 from roipack.geometry import Rect
 from roipack.pipeline import Detection, GtObject, PipelineConfig, run_video
 from roipack.simdet import NoiseModel, SimulatedDetector, SyntheticParams, gen_synthetic
@@ -243,7 +245,7 @@ class TestMatchesPreviousEvaluator:
                 dets.extend((key, det) for det in rec.detections)
                 gts.extend((key, obj) for obj in frame.objects)
                 matches.append(match_frame(rec.detections, frame.objects))
-        got = evaluate_detections(matches)
+        got = evaluate_detections(Scores(matches))
         want = reference_evaluate_detections(dets, gts)
         assert (got.per_class, got.mean_ap) == (want.per_class, want.mean_ap)
 
@@ -296,6 +298,36 @@ def edge_instance(rng):
     return [dets[i] for i in order], gts, keys
 
 
+class TestTiesAtClippedConfidence:
+    def test_equal_to_the_previous_evaluator(self):
+        # Most confidences clip to 1.0, and the location noise turns some of
+        # those detections into misses in every class, so the rank among
+        # equal confidences (frame order, then order within the frame)
+        # decides every AP.
+        noise = NoiseModel(seed=2, loc_sigma=8.0, base_conf=(0.9, 1.0))
+        dets, gts, matches = [], [], []
+        for seed in range(4):
+            frames = gen_synthetic(SyntheticParams(frames=25, seed=seed, num_objects=(3, 6)))
+            run = run_video(len(frames), PipelineConfig(), SimulatedDetector(frames, noise))
+            for frame, rec in zip(frames, run.records):
+                key = (f"v{seed}", frame.frame_id)
+                dets.extend((key, det) for det in rec.detections)
+                gts.extend((key, obj) for obj in frame.objects)
+                matches.append(match_frame(rec.detections, frame.objects))
+        tied = [row for matched, _ in matches for row in matched if row[1] == 1.0]
+        for cls in range(3):
+            hits = [hit for class_id, _, hit in tied if class_id == cls]
+            assert len(hits) >= 50 and 5 <= hits.count(False) < len(hits), cls
+        got = evaluate_detections(Scores(matches))
+        want = reference_evaluate_detections(dets, gts)
+        assert (got.per_class, got.mean_ap) == (want.per_class, want.mean_ap)
+        assert (got.num_detections, got.num_ground_truth) == (
+            want.num_detections, want.num_ground_truth)
+        # Another order among the ties gives other APs in every class.
+        other = evaluate_detections(Scores(reversed(matches))).per_class
+        assert all(other[cls] != got.per_class[cls] for cls in range(3))
+
+
 class TestPerFrameMatching:
     def test_highest_confidence_first_and_input_order_on_ties(self):
         dets = [d(GT_A, 0.5), d(FAR, 0.9), d(GT_B, 0.5, cls=1), d(FAR, 0.5)]
@@ -313,8 +345,8 @@ class TestPerFrameMatching:
         miss = match_frame([d(FAR, 1.0)], [GtObject(0, GT_A)])
         hit = match_frame([d(GT_B, 1.0)], [GtObject(0, GT_B)])
         # Ranked miss then hit, precision at the only recall step is 1/2.
-        assert evaluate_detections([miss, hit]).per_class == {0: 0.25}
-        assert evaluate_detections([hit, miss]).per_class == {0: 0.5}
+        assert evaluate_detections(Scores([miss, hit])).per_class == {0: 0.25}
+        assert evaluate_detections(Scores([hit, miss])).per_class == {0: 0.5}
 
     @pytest.mark.parametrize("threshold", [0.5, 0.25])
     def test_equal_to_the_previous_evaluator_on_edge_cases(self, threshold):
@@ -332,7 +364,7 @@ class TestPerFrameMatching:
                 )
                 for key in keys
             ]
-            got = evaluate_detections(frames)
+            got = evaluate_detections(Scores(frames))
             want = reference_evaluate_detections(dets, gts, threshold)
             assert got.per_class == want.per_class, case
             assert got.mean_ap == want.mean_ap, case
@@ -382,6 +414,15 @@ class TestEvaluateDetections:
         payload = evaluate_detections(matched_frames(dets, gts)).to_json_dict()
         assert set(payload) == {"per_class_ap", "mAP", "num_detections", "num_ground_truth"}
         assert list(payload["per_class_ap"]) == ["0"]
+
+    def test_scores_keep_columns_per_class(self):
+        dets, gts = worked_example()
+        scores = matched_frames(dets + [(1, d(FAR, 0.6, cls=3))], gts)
+        assert scores.columns == {
+            0: (array("d", [0.9, 0.8, 0.7]), bytearray([1, 0, 1])),
+            3: (array("d", [0.6]), bytearray([0])),
+        }
+        assert (scores.npos, scores.num_detections) == ({0: 2}, 4)
 
     def test_empty_ground_truth_has_no_map(self):
         # No class has an AP, so there is no mean; the detections still count.

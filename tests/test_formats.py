@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import OrderedDict
 from enum import IntEnum
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from roipack.costmodel import FrameDecision
 from roipack.formats import (
     AnnotationError,
     detection_entry,
+    iter_frames,
     plan_entry,
     read_annotations,
     result_record,
@@ -85,6 +87,21 @@ class TestRoundTrip:
         )
         videos = read_annotations(str(path), FRAME)
         assert sorted(videos) == ["a", "b"]
+
+    def test_frames_come_one_line_at_a_time_in_file_order(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(
+            '{"video": "b", "frame": 0, "objects": []}\n'
+            '{"video": "a", "frame": 4, "objects": []}\n'
+            '{"video": "b", "frame": 2, "objects": []}\n'
+            '{"video": "a", "frame": 4, "objects": []}\n'
+        )
+        frames = iter_frames(str(path), FRAME)
+        assert [(video, f.frame_id) for video, f in islice(frames, 3)] == [
+            ("b", 0), ("a", 4), ("b", 2)]
+        # A video's frame ids are checked across the lines of other videos.
+        with pytest.raises(AnnotationError, match="line 4: frame ids must be strictly"):
+            next(frames)
 
 
 class TestReadErrors:
