@@ -243,7 +243,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             outcome = run_videos(_videos_in_name_order(reader))
     except _Unordered:
         outcome = None
-    if outcome is None:
+    if outcome is None:  # out of the except clause, whose traceback holds the first attempt
         videos = read_annotations(args.annotations, s1)
         outcome = run_videos((name, videos.pop(name)) for name in sorted(videos))
     video_count, decisions, report = outcome
