@@ -26,6 +26,7 @@ from itertools import groupby
 from operator import add, itemgetter
 from pathlib import Path
 
+from ._pcg64 import PCG64
 from .costmodel import CostParams, aggregate
 from .evaluation import Scores, evaluate_detections, match_frame
 from .formats import (
@@ -66,7 +67,7 @@ _fraction = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _unit_interval = _number(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _frame_side = _number(float, lambda v: 0 < v <= MAX_FRAME_SIDE, f"in (0, {MAX_FRAME_SIDE:g}]")
 
-MAX_BINS = 10_000  # `stats --bins`: np.histogram allocates bins + 1 edges
+MAX_BINS = 10_000  # `stats --bins`: each histogram holds bins + 1 edges
 _bins = _number(int, lambda v: 1 <= v <= MAX_BINS, f"in [1, {MAX_BINS}]")
 
 
@@ -155,16 +156,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         frame=frame_spec,
         num_classes=args.classes,
     )
-    import numpy as np  # here, not at module level: `run` loads no numpy
-
-    video_seeds = np.random.SeedSequence(args.seed).generate_state(args.videos)
+    seeds = PCG64.from_key((args.seed,))
     total = 0
 
     def videos():
         # Each video is written while the next one is generated.
         nonlocal total
-        for idx, seed in enumerate(video_seeds):
-            frames = gen_synthetic(replace(base, seed=int(seed)))
+        for idx in range(args.videos):
+            frames = gen_synthetic(replace(base, seed=seeds.next64()))
             total += len(frames)
             yield f"v{idx:04d}", frames
 

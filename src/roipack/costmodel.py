@@ -124,7 +124,7 @@ class CostReport:
     speedup == 1 / (1 - flop_reduction) holds exactly.
     """
 
-    per_frame: tuple[float, ...]
+    frames: int
     total: float
     baseline: float
     decision_fractions: Mapping[str, float]
@@ -134,7 +134,7 @@ class CostReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "frames": len(self.per_frame),
+            "frames": self.frames,
             "total_flops": self.total,
             "baseline_flops": self.baseline,
             "decision_fractions": dict(self.decision_fractions),
@@ -152,10 +152,9 @@ def aggregate(decisions: Sequence[FrameDecision], params: CostParams) -> CostRep
     """
     if not decisions:
         raise ValueError("aggregate() needs at least one decision")
-    per_frame = tuple(frame_cost(d, params) for d in decisions)
     # Folds left to right, not sum(): from Python 3.12 on, sum() of floats
     # is compensated and can change the last bit of the totals.
-    total = reduce(add, per_frame, 0.0)
+    total = reduce(add, (frame_cost(d, params) for d in decisions), 0.0)
     baseline = params.flops_full * len(decisions)
     counts = {kind: 0 for kind in DecisionKind}
     for d in decisions:
@@ -167,7 +166,7 @@ def aggregate(decisions: Sequence[FrameDecision], params: CostParams) -> CostRep
     overhead = reduce(add, (_frame_overhead(d, params) for d in decisions), 0.0)
     overhead_share = overhead / total if total > 0 else 0.0
     return CostReport(
-        per_frame=per_frame,
+        frames=n,
         total=total,
         baseline=baseline,
         decision_fractions=fractions,

@@ -355,10 +355,9 @@ def write_jsonl(path: str, records: Iterable[dict]):
     in batches, and writes the file while the caller goes on making the
     next ones; where `os.fork` does not exist the same loop runs here. A
     record json cannot encode raises TypeError, and any failure, in either
-    process, leaves neither a partial file nor the temporary one. On Python
-    3.12 and later the fork warns (DeprecationWarning) when numpy's OpenBLAS
-    pool has started threads. Of the commands that write JSON lines only
-    `gen` loads numpy, and the helper calls none, so this is harmless.
+    process, leaves neither a partial file nor the temporary one. No
+    command starts a thread, so the fork never meets Python 3.12's
+    DeprecationWarning about forking a process that has threads.
     """
     with replacing(path) as fh:
         encode = _encode_in_child if hasattr(os, "fork") else _encode

@@ -24,8 +24,7 @@ reuses the same frame ids and object indices, so they are memoized per
 (seed, frame_id, object index) in a bounded cache instead of building a
 generator per detected object. They are the draws numpy's
 `default_rng(key)` makes, computed bit for bit by the pure-Python PCG64,
-SeedSequence and ziggurat port in `_pcg64`, so the detector, and with it
-`roipack run`, never loads numpy; only the generator (`gen`) does.
+SeedSequence and ziggurat port in `_pcg64`, the package's one generator.
 
 A full view reports every object, and it is the view most frames of a
 crowded run fall back to, so its loop reads the noise knobs and the frame
@@ -38,16 +37,20 @@ bit-identical; the reduced view calls those helpers.
 The generator emits square-frame videos whose per-video union occupancy is
 drawn from a sparse/heavy scene mixture averaging the requested mean;
 objects move with constant velocity plus jitter and reflect off frame
-boundaries. Each video's jitter comes from its own motion stream, drawn up
-front frame by frame for all objects at once, so a shorter video is a
-prefix of a longer one with the same seed.
+boundaries. Every draw is one value from a `_pcg64` stream: a video's
+scene from its init stream, and its jitter from its own motion stream,
+drawn frame by frame, so a shorter video is a prefix of a longer one with
+the same seed.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
+from ._pcg64 import PCG64
 from .geometry import FrameSpec, Rect, intersection, intersects
 from .packing import PackSlot
 from .pipeline import Detection, FullView, GroundTruthFrame, GtObject, View
@@ -82,12 +85,6 @@ _PLACEMENT_TRIES = 25
 _DETECT_DRAWS_CACHE_SIZE = 4096
 
 
-def _rng(*key: int) -> "np.random.Generator":
-    import numpy as np
-
-    return np.random.default_rng(list(key))
-
-
 @functools.lru_cache(maxsize=_DETECT_DRAWS_CACHE_SIZE)
 def _detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[float, ...], float]:
     """Edge-jitter normals and margin-miss uniform for one detected object.
@@ -95,8 +92,6 @@ def _detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[float, ...]
     They equal, to the bit, `standard_normal(4)` then `uniform()` of
     `numpy.random.default_rng([seed, _STREAM_DETECT, frame_id, idx])`.
     """
-    from ._pcg64 import PCG64  # here, so that `gen` and `stats` never load it
-
     rng = PCG64.from_key((seed, _STREAM_DETECT, frame_id, idx))
     normal = rng.standard_normal
     return (normal(), normal(), normal(), normal()), rng.next_double()
@@ -313,10 +308,10 @@ class SyntheticParams:
             raise ValueError("num_classes must be >= 1")
 
 
-def _sample_occupancy(rng: "np.random.Generator", target: float) -> float:
+def _sample_occupancy(rng: PCG64, target: float) -> float:
     mean_total = _OCC_CALIBRATION * target
     mean_sparse = _OCC_SPARSE_FRAC * mean_total
-    if rng.uniform() < _OCC_SPARSE_WEIGHT:
+    if rng.next_double() < _OCC_SPARSE_WEIGHT:
         mean, alpha = mean_sparse, _OCC_ALPHA_SPARSE
     else:
         mean = (mean_total - _OCC_SPARSE_WEIGHT * mean_sparse) / (1.0 - _OCC_SPARSE_WEIGHT)
@@ -336,19 +331,19 @@ def _reflect(pos: float, lo: float, hi: float) -> tuple[float, bool]:
 
 def gen_synthetic(params: SyntheticParams) -> list[GroundTruthFrame]:
     """Generate one video as a list of ground-truth frames (ids 0..n-1)."""
-    import numpy as np
-
     side = params.frame.side
-    init = _rng(params.seed, _STREAM_INIT)
-    n = int(init.integers(params.num_objects[0], params.num_objects[1] + 1))
+    init = PCG64.from_key((params.seed, _STREAM_INIT))
+    n = init.integers(params.num_objects[0], params.num_objects[1] + 1)
     occupancy = _sample_occupancy(init, params.occupancy_target)
 
-    weights = init.uniform(0.5, 1.5, n)
-    weights /= weights.sum()
-    aspects = np.exp(init.uniform(math.log(_ASPECT_RANGE[0]), math.log(_ASPECT_RANGE[1]), n))
-    classes = init.integers(0, params.num_classes, n).tolist()
-    speeds = init.uniform(params.velocity[0], params.velocity[1], n)
-    angles = init.uniform(0.0, 2.0 * math.pi, n)
+    weights = [init.uniform(0.5, 1.5) for _ in range(n)]
+    total = reduce(add, weights)  # not sum(): compensated from Python 3.12 on
+    weights = [w / total for w in weights]
+    log_lo, log_hi = math.log(_ASPECT_RANGE[0]), math.log(_ASPECT_RANGE[1])
+    aspects = [math.exp(init.uniform(log_lo, log_hi)) for _ in range(n)]
+    classes = [init.integers(0, params.num_classes) for _ in range(n)]
+    speeds = [init.uniform(params.velocity[0], params.velocity[1]) for _ in range(n)]
+    angles = [init.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
 
     max_side = _MAX_SIDE_FRAC * side
     half_w: list[float] = []
@@ -376,17 +371,18 @@ def gen_synthetic(params: SyntheticParams) -> list[GroundTruthFrame]:
         cy.append(y)
         placed.append(candidate)
 
-    vx = (speeds * np.cos(angles)).tolist()
-    vy = (speeds * np.sin(angles)).tolist()
-    # Row f - 1 holds every object's (x, y) jitter for the step into frame
-    # f, so a shorter video is a prefix of a longer one with the same seed.
-    motion = _rng(params.seed, _STREAM_MOTION)
-    jitter = (params.jitter_sigma * motion.standard_normal((params.frames - 1, n, 2))).tolist()
+    vx = [s * math.cos(a) for s, a in zip(speeds, angles)]
+    vy = [s * math.sin(a) for s, a in zip(speeds, angles)]
+    # The step into frame f draws every object's x and then y jitter, so a
+    # shorter video is a prefix of a longer one with the same seed.
+    normal = PCG64.from_key((params.seed, _STREAM_MOTION)).standard_normal
+    sigma = params.jitter_sigma
 
     frames: list[GroundTruthFrame] = []
     for f in range(params.frames):
         if f > 0:
-            for i, (jx, jy) in enumerate(jitter[f - 1]):
+            for i in range(n):
+                jx, jy = sigma * normal(), sigma * normal()
                 nx, bounced_x = _reflect(cx[i] + vx[i] + jx, half_w[i], side - half_w[i])
                 ny, bounced_y = _reflect(cy[i] + vy[i] + jy, half_h[i], side - half_h[i])
                 cx[i], cy[i] = nx, ny

@@ -1,6 +1,7 @@
 """Dataset statistics: occupancy, frame-to-frame region overlap, histograms."""
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,14 +72,15 @@ def histogram(
     lo, hi = value_range
     if not lo < hi:
         raise ValueError("value_range must be increasing")
-    import numpy as np  # here, not at module level: `run` loads no numpy
-
-    counts, edges = np.histogram(values, bins=bin_count, range=(lo, hi))
-    return Histogram(
-        edges=tuple(float(e) for e in edges),
-        counts=tuple(int(c) for c in counts),
-        rejected=len(values) - int(counts.sum()),
-    )
+    # The edges np.linspace(lo, hi, bin_count + 1) makes, and the bins
+    # np.histogram gives them.
+    step = (hi - lo) / bin_count
+    edges = [lo + i * step for i in range(bin_count)] + [hi]
+    counts = [0] * bin_count
+    for value in values:
+        if lo <= value <= hi:
+            counts[min(bisect_right(edges, value), bin_count) - 1] += 1
+    return Histogram(edges=tuple(edges), counts=tuple(counts), rejected=len(values) - sum(counts))
 
 
 def write_histogram_csv(hist: Histogram, path: str):

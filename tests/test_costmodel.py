@@ -144,8 +144,12 @@ class TestAggregate:
         assert report.flop_reduction < 0  # worse than the baseline
 
     def test_per_frame_costs_recorded(self):
-        report = aggregate(steady_cycle(1), NO_OVERHEAD)
-        assert list(report.per_frame) == [90000.0, 22500.0, 22500.0, 22500.0, 22500.0]
+        decisions = steady_cycle(1)
+        costs = [frame_cost(d, NO_OVERHEAD) for d in decisions]
+        assert costs == [90000.0, 22500.0, 22500.0, 22500.0, 22500.0]
+        report = aggregate(decisions, NO_OVERHEAD)
+        assert report.frames == 5
+        assert report.total == left_fold(costs)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -157,9 +161,10 @@ class TestAggregate:
         # Python 3.12 on); the reported figures keep the left fold.
         params = CostParams(flops_full=1.0, flops_reduced=0.1, pack_overhead=0.1)
         report = aggregate([PACKED] * 10, params)
-        assert report.per_frame == (0.2,) * 10
-        assert math.fsum(report.per_frame) != left_fold(report.per_frame)
-        assert report.total == left_fold(report.per_frame)
+        costs = [frame_cost(PACKED, params)] * 10
+        assert costs == [0.2] * 10
+        assert math.fsum(costs) != left_fold(costs)
+        assert report.total == left_fold(costs)
         assert report.overhead_share == left_fold([0.1] * 10) / report.total
 
     def test_json_dict_fields(self):

@@ -9,41 +9,40 @@ only through `run`'s outputs.
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from roipack.cli import main
 
 GEN_ARGS = ["gen", "--videos", "6", "--frames", "30", "--seed", "7", "--out", "data.jsonl"]
 
-DATA_SHA256 = "148801b9a2957d110d4e53f82ee68b2ee47a207b00a8142ffdae50759f10839a"
+DATA_SHA256 = "8d6d6f03d3782f0f66d17c25648d21cabb396d0c104fa2927ab9df20ecb8ec67"
 
 # (extra gen flags) -> data.jsonl sha256, with the motion jitter off. These
 # outputs use every draw of `gen` but the jitter, so a change to the jitter
 # draws alone must keep them.
 GOLDEN_NO_JITTER = {
-    (): "13d52a3d2a1371822c0d01e661823ee68cd70320f0ff4e0c8e61276467b2884f",
+    (): "719ac326c8ddb9acce72b0e7caba54394b1508e8b083802a5eb3b3f4c7881721",
     ("--min-objects", "4", "--max-objects", "8", "--occupancy", "0.35"): (
-        "4c4e009ecb8c21418ebe3c0842155820d9c836db71a430592960d7dc519a8df8"
+        "5bd1e1ca43c3465b748f4dd92c7f4bc48a2c35fbc82cb4d0eaa4ac7f4dbd5a1e"
     ),
 }
 
 # (extra run flags) -> (results.jsonl sha256, summary sha256)
 GOLDEN = {
     ("--mode", "pad"): (
-        "8e6a98d8f44b82e71107bbb2062928b7fde327c3f8b0114384031dbb977b663c",
-        "7cb56790d7cc0bc6f23cad6a615302dcb00aa3b67e48639738259e5d60620a9f",
+        "ca945ff61584cd3bedeb23ea9f24023162b22ce6f360fec0423dd6c3f53b207e",
+        "23f704ee4628720ea6763c77ec9934b40db89fd40bbd8ca7970ff6ac3e392086",
     ),
     ("--mode", "naive"): (
-        "f850f182d2d70a81829eb2aa0bfe55a2fb2a4043195c29b3a248278d9f9a0154",
-        "b556e854595f63d73b9ff07fa461658f691cf3051a7dcda23776c8d5d89282c8",
+        "bfce097908a2cc2218f9069e235d1d955542c16342b277eb9af34c35c947a8eb",
+        "d4f68b0b5ab95abc6db1b183b8b0294185c17cde46b54f76d089bf1dbda5a2f9",
     ),
     ("--mode", "baseline"): (
-        "860842a244c2271a9e54804685b6c3e48d7b1ee551ebfb3862400fbe2f372c54",
+        "9a861ddf9c005eac81adcec5974e28fcdbdfabb1ecd8330e5c330bb6331b5f32",
         "e3a0f8e7636e0003a6373c533672cb2c917f225b9dd39e3c866f6bdb8eab5bd9",
     ),
     ("--mode", "pad", "--noise-profile", "off"): (
-        "5ea971c2f0b4283c6bdc04819945a447857328a5770236ddd021877bc08fb5ed",
+        "71f3fe73fdfc9f2dfa6b184a0fa64d72e6bc4207ba9b9e5e1ac6a38c5aa47b56",
         "ca603eaea6d763797906af17d81867f4d8f46fd4ec59869ace1c72a51994c063",
     ),
 }
@@ -80,7 +79,4 @@ def test_run_outputs_match_pinned_hashes(flags, dataset, monkeypatch, capsys):
     assert main(["run", "data.jsonl", "--seed", "7", "--out", "out.jsonl", *flags]) == 0
     capsys.readouterr()
     got = (_sha256(dataset / "out.jsonl"), _sha256(dataset / "out.summary.json"))
-    assert got == GOLDEN[flags], (
-        f"golden output changed for run {' '.join(flags)} (numpy {np.__version__}); "
-        "a different numpy can change the Generator stream without any code change"
-    )
+    assert got == GOLDEN[flags]

@@ -469,6 +469,47 @@ class TestDrawsEqualNumpy:
                 assert (want[0][0] == x) == (n == lo), (idx, n)
 
 
+class TestGeneratorDraws:
+    """The draws `gen` makes: bounded integers, uniforms and beta."""
+
+    def test_integers_hit_every_value_of_the_range_and_no_other(self):
+        rng = PCG64.from_key((5, 0))
+        for lo, hi in [(0, 1), (0, 3), (1, 5), (-2, 2), (0, 7)]:
+            assert {rng.integers(lo, hi) for _ in range(2000)} == set(range(lo, hi))
+
+    def test_uniform_stays_in_its_range(self):
+        rng = PCG64.from_key((5, 0))
+        for lo, hi in [(0.5, 1.5), (-2.0, 3.0), (0.0, 2.0 * math.pi)]:
+            draws = [rng.uniform(lo, hi) for _ in range(20_000)]
+            assert all(lo <= x < hi for x in draws)
+            assert min(draws) < lo + 0.01 * (hi - lo) and max(draws) > hi - 0.01 * (hi - lo)
+
+    @pytest.mark.parametrize("a, b", [(1.2, 7.8), (2.2, 0.39), (0.01, 0.01)])
+    def test_beta_mean_and_variance_near_theory(self, a, b):
+        n = 20_000
+        rng = PCG64.from_key((5, 0))
+        draws = [rng.beta(a, b) for _ in range(n)]
+        assert all(0.0 <= x <= 1.0 for x in draws)
+        mean = a / (a + b)
+        var = a * b / ((a + b) ** 2 * (a + b + 1.0))
+        got_mean = math.fsum(draws) / n
+        got_var = math.fsum((x - got_mean) ** 2 for x in draws) / (n - 1)
+        assert abs(got_mean - mean) < 4.0 * math.sqrt(var / n), (got_mean, mean)
+        assert abs(got_var / var - 1.0) < 0.05, (got_var, var)
+
+    def test_the_same_key_gives_the_same_stream(self):
+        def stream(key):
+            rng = PCG64.from_key(key)
+            return [
+                (rng.integers(0, 9), rng.uniform(-1.0, 1.0), rng.beta(2.2, 0.39),
+                 rng.standard_normal())
+                for _ in range(200)
+            ]
+
+        assert stream((7, 0)) == stream((7, 0))
+        assert stream((7, 0)) != stream((7, 1))
+
+
 class TestSyntheticParams:
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,9 +1,11 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from oracles import raster_region_iou
+from roipack.cli import MAX_BINS
 from roipack.geometry import FrameSpec, Rect
 from roipack.pipeline import GroundTruthFrame, GtObject
 from roipack.stats import Histogram, histogram, occupancy_ratio, temporal_region_iou, write_histogram_csv
@@ -134,6 +136,24 @@ class TestHistogram:
         hist = histogram([5.0, 9.5], 2, value_range=(0.0, 10.0))
         assert hist.edges == (0.0, 5.0, 10.0)
         assert hist.counts == (0, 2)
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 7, 20, 1000, MAX_BINS])
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.0, 7.5)])
+    def test_equals_numpy(self, bins, lo, hi):
+        edges = np.linspace(lo, hi, bins + 1).tolist()
+        rng = np.random.default_rng(bins)
+        values = [
+            *edges,
+            *(math.nextafter(e, -math.inf) for e in edges),
+            *(math.nextafter(e, math.inf) for e in edges),
+            0.0, 1.0, lo - 0.5, hi + 0.5, -math.inf, math.inf,
+            *rng.uniform(lo - 1.0, hi + 1.0, 500).tolist(),
+        ]
+        counts, want_edges = np.histogram(values, bins=bins, range=(lo, hi))
+        hist = histogram(values, bins, value_range=(lo, hi))
+        assert hist.edges == tuple(want_edges.tolist())
+        assert hist.counts == tuple(counts.tolist())
+        assert hist.rejected == len(values) - int(counts.sum())
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 imports, no import cycle is hidden behind TYPE_CHECKING, the package root
 re-exports nothing, no module imports a name it does not use, each run
 result and packing plan is built only by the module that defines it, the
-packer's fit test builds no rect, slot or plan, and neither importing the
-CLI nor `roipack run` loads numpy."""
+packer's fit test builds no rect, slot or plan, and no command needs
+numpy."""
 
 import ast
 import os
@@ -52,17 +52,20 @@ def test_core_modules_do_not_load_the_simulator(module):
     assert result.stdout.strip() == "False"
 
 
-def test_run_loads_no_numpy(tmp_path):
-    from roipack.cli import main
-
-    ann = tmp_path / "ann.jsonl"
-    assert main(["gen", "--videos", "3", "--frames", "12", "--seed", "5", "--out", str(ann)]) == 0
+def test_no_command_needs_numpy(tmp_path):
+    ann = str(tmp_path / "ann.jsonl")
+    commands = [
+        ["gen", "--videos", "3", "--frames", "12", "--seed", "5", "--out", ann],
+        ["run", ann, "--out", str(tmp_path / "r.jsonl")],
+        ["stats", ann, "--out-dir", str(tmp_path / "stats")],
+    ]
+    # A None entry in sys.modules makes every import of numpy raise.
     code = (
         "import sys\n"
-        "import roipack.cli\n"
-        "assert 'numpy' not in sys.modules, 'import roipack.cli loaded numpy'\n"
-        f"assert roipack.cli.main(['run', {str(ann)!r}, '--out', {str(tmp_path / 'r.jsonl')!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'roipack run loaded numpy'\n"
+        "sys.modules['numpy'] = None\n"
+        "from roipack.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     # Under -X dev every warning shows; a DeprecationWarning, such as the one
@@ -74,6 +77,7 @@ def test_run_loads_no_numpy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "r.jsonl").stat().st_size > 0
+    assert (tmp_path / "stats" / "stats_summary.json").is_file()
 
 
 def test_only_the_cli_imports_the_simulator():
