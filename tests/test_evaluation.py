@@ -306,7 +306,7 @@ class TestTiesAtClippedConfidence:
         # decides every AP.
         noise = NoiseModel(seed=2, loc_sigma=8.0, base_conf=(0.9, 1.0))
         dets, gts, matches = [], [], []
-        for seed in range(4):
+        for seed in range(5):
             frames = gen_synthetic(SyntheticParams(frames=25, seed=seed, num_objects=(3, 6)))
             run = run_video(len(frames), PipelineConfig(), SimulatedDetector(frames, noise))
             for frame, rec in zip(frames, run.records):

@@ -15,34 +15,34 @@ from roipack.cli import main
 
 GEN_ARGS = ["gen", "--videos", "6", "--frames", "30", "--seed", "7", "--out", "data.jsonl"]
 
-DATA_SHA256 = "8d6d6f03d3782f0f66d17c25648d21cabb396d0c104fa2927ab9df20ecb8ec67"
+DATA_SHA256 = "458f50f817fe7eb6c14e6878802606c96e240dceeb07394d96503e37c8f31761"
 
 # (extra gen flags) -> data.jsonl sha256, with the motion jitter off. These
 # outputs use every draw of `gen` but the jitter, so a change to the jitter
 # draws alone must keep them.
 GOLDEN_NO_JITTER = {
-    (): "719ac326c8ddb9acce72b0e7caba54394b1508e8b083802a5eb3b3f4c7881721",
+    (): "0448b6f950091ff6378972756919d7a1b4c705d52902b1f48889f745f3db863e",
     ("--min-objects", "4", "--max-objects", "8", "--occupancy", "0.35"): (
-        "5bd1e1ca43c3465b748f4dd92c7f4bc48a2c35fbc82cb4d0eaa4ac7f4dbd5a1e"
+        "f42c7cfd3a3d96bb834664ddfcd4bf3a509cb21718fdc6e51e61df98c65f906f"
     ),
 }
 
 # (extra run flags) -> (results.jsonl sha256, summary sha256)
 GOLDEN = {
     ("--mode", "pad"): (
-        "ca945ff61584cd3bedeb23ea9f24023162b22ce6f360fec0423dd6c3f53b207e",
-        "23f704ee4628720ea6763c77ec9934b40db89fd40bbd8ca7970ff6ac3e392086",
+        "b23a3d78436085b37d6b1e8bc0215e8949146000d0c4499bebdaab7a38f9ae09",
+        "6704ac97f5a06b3e045e8794916e8fe5270c73127cdcf764903bd0cb96168bb2",
     ),
     ("--mode", "naive"): (
-        "bfce097908a2cc2218f9069e235d1d955542c16342b277eb9af34c35c947a8eb",
-        "d4f68b0b5ab95abc6db1b183b8b0294185c17cde46b54f76d089bf1dbda5a2f9",
+        "d6cb21cc0006c85ac3813da948ad563bd8c93b05f053349cec34293a68547590",
+        "abb546882bd096eb070e9585208e442cc84d379495f5477130b8c1abe0faaeab",
     ),
     ("--mode", "baseline"): (
-        "9a861ddf9c005eac81adcec5974e28fcdbdfabb1ecd8330e5c330bb6331b5f32",
+        "21e3b3b95aea9a73f252c3396fec78a03e2ccfeb03804f94e1d00a36eed6d36e",
         "e3a0f8e7636e0003a6373c533672cb2c917f225b9dd39e3c866f6bdb8eab5bd9",
     ),
     ("--mode", "pad", "--noise-profile", "off"): (
-        "71f3fe73fdfc9f2dfa6b184a0fa64d72e6bc4207ba9b9e5e1ac6a38c5aa47b56",
+        "f5bff36e099c403e26c3bc2fc29a03ddcaeafb180eca664c1e59f4551de07639",
         "ca603eaea6d763797906af17d81867f4d8f46fd4ec59869ace1c72a51994c063",
     ),
 }

@@ -258,7 +258,7 @@ class TestPackingTraceContract:
         packed = 0
         # One video packs its frames, one does not fit and one has too many
         # regions.
-        for seed, objects in [(0, (1, 4)), (1, (1, 4)), (0, (5, 6))]:
+        for seed, objects in [(0, (1, 4)), (2, (1, 4)), (0, (5, 6))]:
             params = SyntheticParams(frames=30, seed=seed, num_objects=objects, occupancy_target=0.1)
             frames = gen_synthetic(params)
             run = run_video(len(frames), CFG, SimulatedDetector(frames, NoiseModel(seed=1)),

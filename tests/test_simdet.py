@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -484,7 +485,9 @@ class TestGeneratorDraws:
             assert all(lo <= x < hi for x in draws)
             assert min(draws) < lo + 0.01 * (hi - lo) and max(draws) > hi - 0.01 * (hi - lo)
 
-    @pytest.mark.parametrize("a, b", [(1.2, 7.8), (2.2, 0.39), (0.01, 0.01)])
+    # (1.2, 7.8) and (2.2, 0.39) are sparse and crowded heavy scenes; (2.2,
+    # 7800.0) is a heavy scene at `gen --occupancy 0.0001`.
+    @pytest.mark.parametrize("a, b", [(1.2, 7.8), (2.2, 0.39), (0.01, 0.01), (2.2, 7800.0)])
     def test_beta_mean_and_variance_near_theory(self, a, b):
         n = 20_000
         rng = PCG64.from_key((5, 0))
@@ -496,6 +499,25 @@ class TestGeneratorDraws:
         got_var = math.fsum((x - got_mean) ** 2 for x in draws) / (n - 1)
         assert abs(got_mean - mean) < 4.0 * math.sqrt(var / n), (got_mean, mean)
         assert abs(got_var / var - 1.0) < 0.05, (got_var, var)
+
+    @pytest.mark.parametrize("a, b", [(1.2, 7.8), (2.2, 0.39), (0.39, 2.2), (2.2, 7800.0)])
+    def test_beta_matches_numpy_in_distribution(self, a, b):
+        # Two-sample Kolmogorov-Smirnov against numpy's beta; 1.95 * sqrt(2 / n)
+        # is the statistic's 0.1% critical value.
+        n = 20_000
+        rng = PCG64.from_key((6, 0))
+        ours = np.sort([rng.beta(a, b) for _ in range(n)])
+        theirs = np.sort(np.random.default_rng(6).beta(a, b, n))
+        both = np.concatenate([ours, theirs])
+        gap = np.searchsorted(ours, both, "right") - np.searchsorted(theirs, both, "right")
+        assert np.abs(gap).max() / n < 1.95 * math.sqrt(2.0 / n)
+
+    def test_a_tiny_occupancy_generates_promptly(self):
+        # Each video draws one beta whose second shape grows as 1 / occupancy.
+        start = time.perf_counter()
+        for seed in range(20):
+            gen_synthetic(SyntheticParams(frames=5, seed=seed, occupancy_target=1e-4))
+        assert time.perf_counter() - start < 2.0
 
     def test_the_same_key_gives_the_same_stream(self):
         def stream(key):

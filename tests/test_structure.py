@@ -59,11 +59,16 @@ def test_no_command_needs_numpy(tmp_path):
         ["run", ann, "--out", str(tmp_path / "r.jsonl")],
         ["stats", ann, "--out-dir", str(tmp_path / "stats")],
     ]
-    # A None entry in sys.modules makes every import of numpy raise.
+    # The commands run twice: first where numpy can be imported, so that
+    # a fallback import would load it, then with a None entry in
+    # sys.modules, which makes every import of numpy raise.
     code = (
         "import sys\n"
-        "sys.modules['numpy'] = None\n"
         "from roipack.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.modules['numpy'] = None\n"
         f"for argv in {commands!r}:\n"
         "    assert main(argv) == 0, argv\n"
     )
