@@ -3,7 +3,8 @@
 `run` pulls one video at a time out of the annotation file: it parses the
 video's lines, runs them, matches each frame's detections to its ground
 truth as the frame's record is written, hands the records to the results
-writer and drops the video. Of a frame it keeps only its decision and, per
+writer and drops the video, packing plans included. Of a frame it keeps
+only its decision, which is one of four shared kind-only values, and, per
 detection, a confidence and a hit flag in per-class columns
 (`evaluation.Scores`), which are ranked once at the end. That needs the
 videos one after another in name order; a file that breaks that order is
@@ -226,7 +227,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 for frame, rec in zip(frames, run.records):
                     decisions.append(rec.decision)
                     scores.add(match_frame(rec.detections, frame.objects))
-                    yield result_record(name, frame, rec.decision, rec.detections, s1)
+                    yield result_record(name, frame, rec, s1)
             if not count:
                 raise ValueError(f"no frames in {args.annotations}")
 

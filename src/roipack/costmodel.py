@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .geometry import FrameSpec
-from .packing import PackPlan
 
 
 class DecisionKind(str, Enum):
@@ -28,30 +27,30 @@ class DecisionKind(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class FrameDecision:
-    """Tagged processing decision; PACKED carries its plan."""
+    """How one frame was processed: its kind and nothing else, so each kind
+    has one shared decision. A packed frame's plan stays with the frame's
+    record (`pipeline.FrameRecord`) and is dropped with it."""
 
     kind: DecisionKind
-    plan: Optional[PackPlan] = None
-
-    def __post_init__(self):
-        if (self.kind is DecisionKind.PACKED) != (self.plan is not None):
-            raise ValueError("exactly the PACKED decision carries a plan")
 
     @classmethod
     def anchor(cls) -> "FrameDecision":
-        return cls(DecisionKind.ANCHOR)
+        return _SHARED[DecisionKind.ANCHOR]
 
     @classmethod
-    def packed(cls, plan: PackPlan) -> "FrameDecision":
-        return cls(DecisionKind.PACKED, plan)
+    def packed(cls) -> "FrameDecision":
+        return _SHARED[DecisionKind.PACKED]
 
     @classmethod
     def fallback_full(cls) -> "FrameDecision":
-        return cls(DecisionKind.FALLBACK_FULL)
+        return _SHARED[DecisionKind.FALLBACK_FULL]
 
     @classmethod
     def skipped(cls) -> "FrameDecision":
-        return cls(DecisionKind.SKIPPED)
+        return _SHARED[DecisionKind.SKIPPED]
+
+
+_SHARED = {kind: FrameDecision(kind) for kind in DecisionKind}
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,10 +34,9 @@ try:
 except ImportError:  # F_SETPIPE_SZ is Linux-only
     F_SETPIPE_SZ = None
 
-from .costmodel import FrameDecision
 from .geometry import FrameSpec, Rect
 from .packing import PackPlan
-from .pipeline import Detection, GroundTruthFrame, GtObject
+from .pipeline import Detection, FrameRecord, GroundTruthFrame, GtObject
 
 
 class AnnotationError(ValueError):
@@ -221,18 +220,15 @@ def plan_entry(plan: PackPlan) -> dict:
 
 
 def result_record(
-    video: str,
-    frame: GroundTruthFrame,
-    decision: FrameDecision,
-    detections: Sequence[Detection],
-    frame_spec: FrameSpec,
+    video: str, frame: GroundTruthFrame, outcome: FrameRecord, frame_spec: FrameSpec
 ) -> dict:
+    """The result line of `frame`, processed as `outcome` records."""
     side = frame_spec.side
     record = _frame_entry(video, frame, side)
-    record["decision"] = decision.kind.value
-    record["detections"] = [detection_entry(det, side) for det in detections]
-    if decision.plan is not None:
-        record["plan"] = plan_entry(decision.plan)
+    record["decision"] = outcome.decision.kind.value
+    record["detections"] = [detection_entry(det, side) for det in outcome.detections]
+    if outcome.plan is not None:
+        record["plan"] = plan_entry(outcome.plan)
     return record
 
 

@@ -15,7 +15,7 @@ until the next anchor).
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence, Union
 
-from .costmodel import CostParams, CostReport, FrameDecision, aggregate
+from .costmodel import CostParams, CostReport, DecisionKind, FrameDecision, aggregate
 from .geometry import FrameSpec, Rect, intersection
 from .packing import PackPlan, pack
 
@@ -133,38 +133,43 @@ def map_back(detections: Sequence[Detection], plan: PackPlan) -> list[Detection]
     return out
 
 
+@dataclass(frozen=True, slots=True)
+class FrameRecord:
+    """Outcome of one frame: its schedule index, decision and detections,
+    and on a packed frame alone the plan its reduced view was built from."""
+
+    index: int
+    decision: FrameDecision
+    detections: tuple[Detection, ...]
+    plan: Optional[PackPlan] = None
+
+    def __post_init__(self):
+        if (self.decision.kind is DecisionKind.PACKED) != (self.plan is not None):
+            raise ValueError("exactly a PACKED frame's record carries a plan")
+
+
 def step(
     prev_detections: Sequence[Detection],
     frame_index: int,
     config: PipelineConfig,
     detector: Detector,
     packer: Packer = pack,
-) -> tuple[FrameDecision, list[Detection]]:
-    """Decide and process one frame; returns source-frame detections."""
+) -> FrameRecord:
+    """Decide and process one frame; its record holds source-frame detections."""
     if frame_index < 0:
         raise ValueError("frame_index must be nonnegative")
     if frame_index % config.anchor_interval == 0:
-        return FrameDecision.anchor(), detector.detect(frame_index, FullView(config.s1))
+        detections = detector.detect(frame_index, FullView(config.s1))
+        return FrameRecord(frame_index, FrameDecision.anchor(), tuple(detections))
     rois = rois_from_detections(prev_detections, config.tau)
     if not rois:
-        return FrameDecision.skipped(), []
+        return FrameRecord(frame_index, FrameDecision.skipped(), ())
     plan = packer(rois, config.s1, config.s2)
     if plan is None:
-        return (
-            FrameDecision.fallback_full(),
-            detector.detect(frame_index, FullView(config.s1)),
-        )
+        detections = detector.detect(frame_index, FullView(config.s1))
+        return FrameRecord(frame_index, FrameDecision.fallback_full(), tuple(detections))
     raw = detector.detect(frame_index, ReducedView(plan))
-    return FrameDecision.packed(plan), map_back(raw, plan)
-
-
-@dataclass(frozen=True, slots=True)
-class FrameRecord:
-    """Outcome of one frame: its schedule index, decision and detections."""
-
-    index: int
-    decision: FrameDecision
-    detections: tuple[Detection, ...]
+    return FrameRecord(frame_index, FrameDecision.packed(), tuple(map_back(raw, plan)), plan)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,9 +202,9 @@ def run_video(
     records: list[FrameRecord] = []
     prev: Sequence[Detection] = ()
     for i in range(n_frames):
-        decision, detections = step(prev, i, config, detector, packer)
-        records.append(FrameRecord(i, decision, tuple(detections)))
-        prev = detections
+        record = step(prev, i, config, detector, packer)
+        records.append(record)
+        prev = record.detections
     params = cost_params or CostParams.for_frames(config.s1, config.s2)
     cost = aggregate([r.decision for r in records], params)
     return VideoRun(records=tuple(records), cost=cost)

@@ -67,9 +67,7 @@ def strictly_overlap(a: Rect, b: Rect) -> bool:
 
 def test_criterion_1_reduced_frame_cost_is_a_quarter():
     failures = []
-    anchor, packed = FrameDecision.anchor(), FrameDecision.packed(
-        pack([Rect(10, 10, 50, 50)], S1, S2)
-    )
+    anchor, packed = FrameDecision.anchor(), FrameDecision.packed()
     for params in (CostParams(pack_overhead=0.0),
                    CostParams.for_frames(S1, S2, pack_overhead=0.0)):
         ratio = frame_cost(packed, params) / frame_cost(anchor, params)

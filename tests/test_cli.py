@@ -18,7 +18,7 @@ from roipack import cli
 from roipack.cli import main
 from roipack.formats import AnnotationError, read_annotations
 from roipack.geometry import FrameSpec
-from roipack.packing import MAX_FRAME_SIDE
+from roipack.packing import MAX_FRAME_SIDE, PackPlan, PackSlot
 from roipack.pipeline import Detection, GtObject
 from roipack.simdet import SimulatedDetector
 from roipack.stats import occupancy_ratio, temporal_region_iou
@@ -649,7 +649,7 @@ class TestRunMemory:
 
         def count_live():
             counts = Counter(type(obj) for obj in gc.get_objects())
-            return counts[Detection], counts[GtObject]
+            return counts[Detection], counts[GtObject], counts[PackPlan], counts[PackSlot]
 
         def per_video(path, key, frame=None):
             # Counted from the files, so that the test holds no objects.
@@ -668,17 +668,29 @@ class TestRunMemory:
 
         monkeypatch.setattr(cli, "run_video", spy)
         gc.collect()
-        held_det, held_gt = count_live()
+        held_det, held_gt, held_plans, held_slots = count_live()
         out = tmp_path / "r.jsonl"
         assert main(["run", str(ann), "--out", str(out)]) == 0
         gt_per_video = per_video(ann, "objects")
         det_per_video = per_video(out, "detections")
         first_frame = per_video(ann, "objects", frame=0)
         last_frame = per_video(ann, "objects", frame=19)
+        packed, slots = Counter(), Counter()
+        for line in out.read_text().splitlines():
+            rec = json.loads(line)
+            if "plan" in rec:
+                packed[rec["video"]] += 1
+                slots[rec["video"]] += len(rec["plan"]["slots"])
         names = sorted(gt_per_video)
         assert len(live) == len(names) == 8
-        for i, (dets, gts) in enumerate(live):
+        assert sum(packed[name] > 0 for name in names) >= 3, packed
+        for i, (dets, gts, plans, plan_slots) in enumerate(live):
             dets, gts = dets - held_det, gts - held_gt
+            # No plan outlives its video: at most the plans of the video
+            # before, whose records are being dropped, are live.
+            before = names[i - 1] if i else None
+            assert plans - held_plans <= packed[before], (i, plans)
+            assert plan_slots - held_slots <= slots[before], (i, plan_slots)
             assert dets <= max(det_per_video.values()), (i, dets)
             # Live are the video about to run, the first frame of the next
             # one, whose line ended it, and at most the last frame of the
@@ -691,12 +703,13 @@ class TestRunMemory:
 
     def test_traced_peak_grows_little_per_frame(self, tmp_path, capsys):
         # The encoder is a forked process, so tracemalloc sees only what
-        # `run` itself holds: per frame, its decision and the scores of its
-        # detections, and not its parsed objects or its matches.
-        crowded = dict(frames="20", seed="7", min_objects="4", max_objects="8",
-                       occupancy="0.35")
-        small = gen(tmp_path, "small.jsonl", videos="5", **crowded)
-        large = gen(tmp_path, "large.jsonl", videos="40", **crowded)
+        # `run` itself holds: per frame, a reference to its shared decision
+        # and the scores of its detections, and not its parsed objects, its
+        # plan or its matches.
+        inputs = {
+            "crowded": dict(min_objects="4", max_objects="8", occupancy="0.35"),
+            "road": {},
+        }
 
         def traced_peak(ann):
             tracemalloc.start()
@@ -706,9 +719,12 @@ class TestRunMemory:
             finally:
                 tracemalloc.stop()
 
-        traced_peak(small)  # the first run also loads the detector's draw tables
-        per_frame = (traced_peak(large) - traced_peak(small)) / ((40 - 5) * 20)
-        assert per_frame < 500, per_frame
+        for name, flags in inputs.items():
+            small = gen(tmp_path, f"{name}-5.jsonl", videos="5", frames="20", seed="7", **flags)
+            large = gen(tmp_path, f"{name}-40.jsonl", videos="40", frames="20", seed="7", **flags)
+            traced_peak(small)  # the first run also loads the detector's draw tables
+            per_frame = (traced_peak(large) - traced_peak(small)) / ((40 - 5) * 20)
+            assert per_frame < 250, (name, per_frame)
 
 
 class TestGarbageCollection:

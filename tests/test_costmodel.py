@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from roipack.costmodel import CostParams, DecisionKind, FrameDecision, aggregate, frame_cost
-from roipack.geometry import FrameSpec, Rect
-from roipack.packing import pack
+from roipack.geometry import FrameSpec
 
 
 def left_fold(values):
@@ -19,7 +18,7 @@ DEFAULT = CostParams()
 NO_OVERHEAD = CostParams(pack_overhead=0.0)
 
 ANCHOR = FrameDecision.anchor()
-PACKED = FrameDecision.packed(pack([Rect(10, 10, 50, 50)], FrameSpec(300.0), FrameSpec(150.0)))
+PACKED = FrameDecision.packed()
 FALLBACK = FrameDecision.fallback_full()
 SKIPPED = FrameDecision.skipped()
 ALL_KINDS = (ANCHOR, PACKED, FALLBACK, SKIPPED)

@@ -27,7 +27,7 @@ from roipack.formats import (
 )
 from roipack.geometry import FrameSpec, Rect
 from roipack.packing import pack
-from roipack.pipeline import Detection, GroundTruthFrame, GtObject
+from roipack.pipeline import Detection, FrameRecord, GroundTruthFrame, GtObject
 
 FRAME = FrameSpec(300.0)
 
@@ -312,17 +312,16 @@ class TestResultRecords:
     def test_packed_record_carries_plan(self):
         plan = pack([Rect(100, 120, 180, 180)], FRAME, FrameSpec(150.0))
         frame = frame_of(4, Rect(75, 75, 150, 150))
-        record = result_record("v", frame, FrameDecision.packed(plan), [], FRAME)
+        record = result_record("v", frame, FrameRecord(4, FrameDecision.packed(), (), plan), FRAME)
         assert record["decision"] == "packed"
         assert record["video"] == "v" and record["frame"] == 4
         assert "plan" in record
 
     def test_other_records_have_no_plan(self):
         frame = frame_of(0, Rect(75, 75, 150, 150))
-        record = result_record(
-            "v", frame, FrameDecision.anchor(),
-            [Detection(Rect(75, 75, 150, 150), 0, 0.9)], FRAME,
-        )
+        detections = (Detection(Rect(75, 75, 150, 150), 0, 0.9),)
+        outcome = FrameRecord(0, FrameDecision.anchor(), detections)
+        record = result_record("v", frame, outcome, FRAME)
         assert record["decision"] == "anchor"
         assert "plan" not in record
         assert len(record["detections"]) == 1

@@ -6,6 +6,7 @@ from roipack.geometry import FrameSpec, Rect
 from roipack.packing import pack
 from roipack.pipeline import (
     Detection,
+    FrameRecord,
     FullView,
     PipelineConfig,
     ReducedView,
@@ -66,11 +67,21 @@ class TestValidation:
             PipelineConfig(s1=FrameSpec(150.0), s2=FrameSpec(300.0))
 
     def test_packed_decision_requires_plan(self):
+        plan = pack([Rect(10, 10, 50, 50)], CFG.s1, CFG.s2)
+        assert FrameRecord(1, FrameDecision.packed(), (), plan).plan is plan
         with pytest.raises(ValueError):
-            FrameDecision(kind=DecisionKind.PACKED)
-        with pytest.raises(ValueError):
-            plan = pack([Rect(10, 10, 50, 50)], CFG.s1, CFG.s2)
-            FrameDecision(kind=DecisionKind.SKIPPED, plan=plan)
+            FrameRecord(1, FrameDecision.packed(), ())
+        for decision in (FrameDecision.anchor(), FrameDecision.fallback_full(),
+                         FrameDecision.skipped()):
+            with pytest.raises(ValueError):
+                FrameRecord(1, decision, (), plan)
+
+    def test_a_decision_is_one_shared_kind(self):
+        makers = (FrameDecision.anchor, FrameDecision.packed,
+                  FrameDecision.fallback_full, FrameDecision.skipped)
+        assert [make().kind for make in makers] == list(DecisionKind)
+        assert all(make() is make() for make in makers)
+        assert FrameDecision.__slots__ == ("kind",)
 
 
 class TestRoisFromDetections:
@@ -118,10 +129,8 @@ class TestStep:
     def test_anchor_every_interval(self):
         detector = ConstantDetector([det(10, 10, 50, 50)])
         for i in (0, 5, 10, 100):
-            decision, _ = step([det(10, 10, 50, 50)], i, CFG, detector)
-            assert decision.kind is DecisionKind.ANCHOR
-        decision, _ = step([det(10, 10, 50, 50)], 7, CFG, detector)
-        assert decision.kind is DecisionKind.PACKED
+            assert step([det(10, 10, 50, 50)], i, CFG, detector).decision is FrameDecision.anchor()
+        assert step([det(10, 10, 50, 50)], 7, CFG, detector).decision is FrameDecision.packed()
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -129,37 +138,37 @@ class TestStep:
 
     def test_no_rois_skips_without_calling_detector(self):
         detector = ScriptedDetector()
-        decision, detections = step([], 3, CFG, detector)
-        assert decision.kind is DecisionKind.SKIPPED
-        assert detections == []
+        record = step([], 3, CFG, detector)
+        assert record.decision.kind is DecisionKind.SKIPPED
+        assert record.detections == ()
         assert detector.calls == []
 
     def test_below_threshold_rois_also_skip(self):
         detector = ScriptedDetector()
-        decision, _ = step([det(0, 0, 50, 50, conf=0.1)], 2, CFG, detector)
-        assert decision.kind is DecisionKind.SKIPPED
+        record = step([det(0, 0, 50, 50, conf=0.1)], 2, CFG, detector)
+        assert record.decision.kind is DecisionKind.SKIPPED
 
     def test_unpackable_rois_fall_back_to_full(self):
         prev = [det(0, 0, 200, 140), det(210, 160, 300, 300)]
         detector = ScriptedDetector(full={4: [det(5, 5, 20, 20)]})
-        decision, detections = step(prev, 4, CFG, detector)
-        assert decision.kind is DecisionKind.FALLBACK_FULL
-        assert decision.plan is None
+        record = step(prev, 4, CFG, detector)
+        assert record.decision.kind is DecisionKind.FALLBACK_FULL
+        assert record.plan is None
         assert detector.calls == [(4, "full")]
-        assert detections == [det(5, 5, 20, 20)]
+        assert record.detections == (det(5, 5, 20, 20),)
 
     def test_injected_packer_controls_fallback(self):
         prev = [det(10, 10, 50, 50)]
-        decision, _ = step(prev, 1, CFG, ScriptedDetector(), packer=lambda rois, s1, s2: None)
-        assert decision.kind is DecisionKind.FALLBACK_FULL
+        record = step(prev, 1, CFG, ScriptedDetector(), packer=lambda rois, s1, s2: None)
+        assert record.decision.kind is DecisionKind.FALLBACK_FULL
 
     def test_packed_frame_maps_detections_back(self):
         prev = [det(100, 120, 180, 180)]
         detector = ScriptedDetector(reduced={1: [det(10, 10, 40, 40, conf=0.8)]})
-        decision, detections = step(prev, 1, CFG, detector)
-        assert decision.kind is DecisionKind.PACKED
-        assert decision.plan is not None
-        assert detections == [det(75, 85, 105, 115, conf=0.8)]
+        record = step(prev, 1, CFG, detector)
+        assert record.decision.kind is DecisionKind.PACKED
+        assert record.plan == pack([Rect(100, 120, 180, 180)], CFG.s1, CFG.s2)
+        assert record.detections == (det(75, 85, 105, 115, conf=0.8),)
         assert detector.calls == [(1, "reduced")]
 
 
@@ -200,9 +209,7 @@ class TestRunVideo:
         run = run_video(len(video), CFG, detector)
         assert [r.index for r in run.records] == list(range(25))
         for i in range(1, 25):
-            decision, detections = step(run.records[i - 1].detections, i, CFG, detector)
-            assert decision.kind is run.records[i].decision.kind
-            assert detections == list(run.records[i].detections)
+            assert step(run.records[i - 1].detections, i, CFG, detector) == run.records[i]
 
     def test_cost_aggregation_uses_frame_sizes(self):
         run = run_video(10, CFG, ScriptedDetector())  # nothing ever detected
