@@ -11,7 +11,7 @@ videos one after another in name order; a file that breaks that order is
 run again from the start, read whole.
 
 Commands run with the cyclic garbage collector off: their data are acyclic
-(frozen dataclasses, tuples, dicts) that reference counting frees, so full
+(frozen records, tuples, dicts) that reference counting frees, so full
 collections would only re-walk a heap that grows with the input.
 """
 
@@ -21,13 +21,13 @@ import math
 import os
 import sys
 from contextlib import closing, suppress
-from dataclasses import replace
 from functools import reduce
 from itertools import groupby
 from operator import add, itemgetter
 from pathlib import Path
 
 from ._pcg64 import PCG64
+from ._record import replace
 from .costmodel import CostParams, aggregate
 from .evaluation import Scores, evaluate_detections, match_frame
 from .formats import (
@@ -44,7 +44,6 @@ from .geometry import FrameSpec
 from .packing import MAX_FRAME_SIDE, pack, pack_naive
 from .pipeline import PipelineConfig, run_video
 from .simdet import NoiseModel, SimulatedDetector, SyntheticParams, gen_synthetic
-from .stats import histogram, occupancy_ratio, temporal_region_iou, write_histogram_csv
 
 
 def _number(cast, ok, rule: str):
@@ -218,16 +217,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scores = Scores()
         count = 0
 
+        def video(name, frames):
+            # The video's records, plans and detector are freed when this
+            # generator ends, before the next video runs.
+            detector = SimulatedDetector(frames, noise)
+            run = run_video(len(frames), config, detector, cost_params, packer)
+            for frame, rec in zip(frames, run.records):
+                decisions.append(rec.decision)
+                scores.add(match_frame(rec.detections, frame.objects))
+                yield result_record(name, frame, rec, s1)
+
         def records():
             nonlocal count
             for name, frames in videos:
                 count += 1
-                detector = SimulatedDetector(frames, noise)
-                run = run_video(len(frames), config, detector, cost_params, packer)
-                for frame, rec in zip(frames, run.records):
-                    decisions.append(rec.decision)
-                    scores.add(match_frame(rec.detections, frame.objects))
-                    yield result_record(name, frame, rec, s1)
+                yield from video(name, frames)
             if not count:
                 raise ValueError(f"no frames in {args.annotations}")
 
@@ -277,6 +281,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .stats import histogram, occupancy_ratio, temporal_region_iou, write_histogram_csv
+
     out_dir = Path(args.out_dir)
     names = ("occupancy_hist.csv", "temporal_iou_hist.csv", "stats_summary.json")
     occ_path, iou_path, summary_path = outputs = [str(out_dir / name) for name in names]

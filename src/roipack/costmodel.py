@@ -7,12 +7,12 @@ attempt pays that overhead and then the full-frame cost on top.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
 from typing import Mapping, Sequence
 
+from ._record import frozen
 from .geometry import FrameSpec
 
 
@@ -25,7 +25,7 @@ class DecisionKind(str, Enum):
     SKIPPED = "skipped"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FrameDecision:
     """How one frame was processed: its kind and nothing else, so each kind
     has one shared decision. A packed frame's plan stays with the frame's
@@ -53,7 +53,7 @@ class FrameDecision:
 _SHARED = {kind: FrameDecision(kind) for kind in DecisionKind}
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class CostParams:
     """Cost constants, in arbitrary FLOP units.
 
@@ -115,7 +115,7 @@ def _frame_overhead(decision: FrameDecision, params: CostParams) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
+@frozen
 class CostReport:
     """Aggregate cost of a run against the always-full-size baseline.
 

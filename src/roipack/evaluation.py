@@ -22,11 +22,11 @@ same to the bit.
 """
 
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._record import frozen
 from .pipeline import Detection, GtObject
 
 # One frame's detections as (class_id, confidence, hit), highest confidence
@@ -95,7 +95,7 @@ def mean_average_precision(per_class: Mapping[int, Optional[float]]) -> float:
     return reduce(add, defined, 0.0) / len(defined)
 
 
-@dataclass(frozen=True)
+@frozen
 class EvalReport:
     """Per-class APs, their mean and the match counts behind them.
 

@@ -7,11 +7,12 @@ touch without overlapping.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._record import frozen
 
-@dataclass(frozen=True, slots=True)
+
+@frozen
 class Rect:
     """Rectangle with strictly positive width and height.
 
@@ -70,7 +71,7 @@ class Rect:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FrameSpec:
     """Square working frame of a given side length in pixels."""
 

@@ -39,10 +39,10 @@ ratios and provides little context.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+from ._record import frozen
 from .geometry import FrameSpec, Rect, enclosing
 
 MAX_SLOTS = 4
@@ -64,7 +64,7 @@ class PackMethod(str, Enum):
     NAIVE = "naive"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class PackSlot:
     """One packed patch: a source crop, its destination placement and scale.
 
@@ -101,7 +101,7 @@ class PackSlot:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Layout:
     """Grid arrangement for up to four disjoint boxes.
 
@@ -124,7 +124,7 @@ class Layout:
             raise ValueError("groups must partition the box indices 0..n-1")
 
 
-@dataclass(frozen=True)
+@frozen
 class PackPlan:
     """A complete packing decision for one frame.
 

@@ -12,9 +12,9 @@ frame produced no ROIs the frame is skipped outright (which then cascades
 until the next anchor).
 """
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, Sequence, Union
 
+from ._record import frozen
 from .costmodel import CostParams, CostReport, DecisionKind, FrameDecision, aggregate
 from .geometry import FrameSpec, Rect, intersection
 from .packing import PackPlan, pack
@@ -22,7 +22,7 @@ from .packing import PackPlan, pack
 Packer = Callable[[Sequence[Rect], FrameSpec, FrameSpec], Optional[PackPlan]]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Detection:
     """One detected object in the coordinates of the view it came from."""
 
@@ -37,7 +37,7 @@ class Detection:
             raise ValueError(f"confidence out of range: {self.confidence}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class GtObject:
     """One annotated object."""
 
@@ -45,7 +45,7 @@ class GtObject:
     rect: Rect
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class GroundTruthFrame:
     """All annotated objects of one frame."""
 
@@ -57,14 +57,14 @@ class GroundTruthFrame:
             raise ValueError("frame_id must be nonnegative")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class PipelineConfig:
     """Knobs for the frame scheduler."""
 
     anchor_interval: int = 5
     tau: float = 0.2
-    s1: FrameSpec = field(default=FrameSpec(300.0))
-    s2: FrameSpec = field(default=FrameSpec(150.0))
+    s1: FrameSpec = FrameSpec(300.0)
+    s2: FrameSpec = FrameSpec(150.0)
 
     def __post_init__(self):
         if self.anchor_interval < 1:
@@ -75,14 +75,14 @@ class PipelineConfig:
             raise ValueError("reduced frame cannot be larger than the full frame")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FullView:
     """Detector input: the whole frame at full size."""
 
     frame: FrameSpec
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ReducedView:
     """Detector input: the reduced frame assembled from a packing plan."""
 
@@ -133,7 +133,7 @@ def map_back(detections: Sequence[Detection], plan: PackPlan) -> list[Detection]
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FrameRecord:
     """Outcome of one frame: its schedule index, decision and detections,
     and on a packed frame alone the plan its reduced view was built from."""
@@ -172,7 +172,7 @@ def step(
     return FrameRecord(frame_index, FrameDecision.packed(), tuple(map_back(raw, plan)), plan)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class VideoRun:
     """All frame records of one video plus the aggregated cost."""
 

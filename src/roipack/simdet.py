@@ -45,12 +45,12 @@ the same seed.
 
 import functools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Optional, Sequence
 
 from ._pcg64 import PCG64
+from ._record import frozen
 from .geometry import FrameSpec, Rect, intersection, intersects
 from .packing import PackSlot
 from .pipeline import Detection, FullView, GroundTruthFrame, GtObject, View
@@ -97,7 +97,7 @@ def _detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[float, ...]
     return (normal(), normal(), normal(), normal()), rng.next_double()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class NoiseModel:
     """Degradation knobs for the simulated detector.
 
@@ -271,7 +271,7 @@ class SimulatedDetector:
         return oracle_detect(view, self._frames[frame_index], self._noise)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SyntheticParams:
     """Controls for one generated video.
 

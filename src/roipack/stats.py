@@ -2,9 +2,9 @@
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import frozen
 from .formats import replacing
 from .geometry import FrameSpec, intersection, union_area
 from .pipeline import GroundTruthFrame
@@ -48,7 +48,7 @@ def temporal_region_iou(
     return inter_area / total
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Histogram:
     """Fixed-range histogram; bins are left-closed, the last bin is closed.
 

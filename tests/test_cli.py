@@ -674,31 +674,24 @@ class TestRunMemory:
         gt_per_video = per_video(ann, "objects")
         det_per_video = per_video(out, "detections")
         first_frame = per_video(ann, "objects", frame=0)
-        last_frame = per_video(ann, "objects", frame=19)
-        packed, slots = Counter(), Counter()
+        packed = Counter()
         for line in out.read_text().splitlines():
             rec = json.loads(line)
-            if "plan" in rec:
-                packed[rec["video"]] += 1
-                slots[rec["video"]] += len(rec["plan"]["slots"])
+            packed[rec["video"]] += "plan" in rec
         names = sorted(gt_per_video)
         assert len(live) == len(names) == 8
         assert sum(packed[name] > 0 for name in names) >= 3, packed
         for i, (dets, gts, plans, plan_slots) in enumerate(live):
             dets, gts = dets - held_det, gts - held_gt
-            # No plan outlives its video: at most the plans of the video
-            # before, whose records are being dropped, are live.
-            before = names[i - 1] if i else None
-            assert plans - held_plans <= packed[before], (i, plans)
-            assert plan_slots - held_slots <= slots[before], (i, plan_slots)
+            # No plan outlives its video: when a video starts, no earlier
+            # video's records, and so none of its plans or slots, are live.
+            assert (plans, plan_slots) == (held_plans, held_slots), (i, plans, plan_slots)
             assert dets <= max(det_per_video.values()), (i, dets)
-            # Live are the video about to run, the first frame of the next
-            # one, whose line ended it, and at most the last frame of the
-            # one before; no other video's frames are.
+            # Live are the video about to run and the first frame of the
+            # next one, whose line ended it; no other video's frames are.
             running = gt_per_video[names[i]]
-            around = (last_frame[names[i - 1]] if i else 0) + (
-                first_frame[names[i + 1]] if i + 1 < len(names) else 0)
-            assert running <= gts <= running + around, (i, gts)
+            following = first_frame[names[i + 1]] if i + 1 < len(names) else 0
+            assert gts == running + following, (i, gts)
 
 
     def test_traced_peak_grows_little_per_frame(self, tmp_path, capsys):

@@ -2,8 +2,8 @@
 imports, no import cycle is hidden behind TYPE_CHECKING, the package root
 re-exports nothing, no module imports a name it does not use, each run
 result and packing plan is built only by the module that defines it, the
-packer's fit test builds no rect, slot or plan, and no command needs
-numpy."""
+packer's fit test builds no rect, slot or plan, no command needs numpy,
+and no command loads a module it does not use."""
 
 import ast
 import os
@@ -83,6 +83,39 @@ def test_no_command_needs_numpy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "r.jsonl").stat().st_size > 0
     assert (tmp_path / "stats" / "stats_summary.json").is_file()
+
+
+def test_commands_load_only_the_modules_they_use(tmp_path):
+    ann = str(tmp_path / "ann.jsonl")
+    commands = {
+        "gen": ["gen", "--videos", "2", "--frames", "12", "--out", ann],
+        "run": ["run", ann, "--out", str(tmp_path / "r.jsonl")],
+        "stats": ["stats", ann, "--out-dir", str(tmp_path / "stats")],
+    }
+    # `dataclasses` would load `inspect`, `ast`, `dis` and `tokenize`, about
+    # 1 MB of RSS, and `stats` with its `csv` serves one command. What
+    # `site` loaded before the command is not counted.
+    unwanted = {
+        "gen": {"dataclasses", "inspect", "roipack.stats", "csv"},
+        "run": {"dataclasses", "inspect", "roipack.stats", "csv"},
+        "stats": {"dataclasses", "inspect"},
+    }
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    for name, argv in commands.items():
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from roipack.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        assert "roipack.cli" in loaded
+        assert loaded & unwanted[name] == set(), name
 
 
 def test_only_the_cli_imports_the_simulator():
