@@ -1,12 +1,13 @@
 """Command line front end: generate data, run the pipeline, report stats.
 
 `run` pulls one video at a time out of the annotation file: it parses the
-video's lines, runs them, matches each frame's detections to its ground
-truth as the frame's record is written, hands the records to the results
-writer and drops the video, packing plans included. Of a frame it keeps
-only its decision, which is one of four shared kind-only values, and, per
-detection, a confidence and a hit flag in per-class columns
-(`evaluation.Scores`), which are ranked once at the end. That needs the
+video's lines, runs them, hands each frame to the results writer in
+`formats.flat_frame`'s form and drops the video, packing plans included.
+Of a frame it keeps only its decision, one of four shared kind-only values.
+The writer's forked helper process builds each frame's result line, matches
+its detections to its ground truth, keeps per detection a confidence and a
+hit flag in per-class columns (`evaluation.Scores`), ranks those once at
+the end and sends the evaluation back. Scoring in frame order needs the
 videos one after another in name order; a file that breaks that order is
 run again from the start, read whole.
 
@@ -32,6 +33,7 @@ from .costmodel import CostParams, aggregate
 from .evaluation import Scores, evaluate_detections, match_frame
 from .formats import (
     AnnotationError,
+    flat_frame,
     iter_frames,
     read_annotations,
     result_record,
@@ -209,12 +211,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else NoiseModel(seed=args.seed)
     )
 
-    def run_videos(videos):
-        """Run, score and write each (name, frames) pair of `videos`, in
-        the order given; return the video count, every frame's decision and
-        the evaluation."""
-        decisions = []
+    def scored_lines(frames):
+        """Run in the encoder process: each flat frame's result line, its
+        detections scored as it is made; returns the evaluation's JSON form."""
         scores = Scores()
+        for frame in frames:
+            scores.add(match_frame(frame))
+            yield result_record(frame, s1)
+        return evaluate_detections(scores).to_json_dict()
+
+    def run_videos(videos):
+        """Run each (name, frames) pair of `videos`, in the order given, and
+        hand each frame, flat, to the results writer; return the video
+        count, every frame's decision and the evaluation."""
+        decisions = []
         count = 0
 
         def video(name, frames):
@@ -224,10 +234,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             run = run_video(len(frames), config, detector, cost_params, packer)
             for frame, rec in zip(frames, run.records):
                 decisions.append(rec.decision)
-                scores.add(match_frame(rec.detections, frame.objects))
-                yield result_record(name, frame, rec, s1)
+                yield flat_frame(name, frame, rec)
 
-        def records():
+        def flat_frames():
             nonlocal count
             for name, frames in videos:
                 count += 1
@@ -235,8 +244,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if not count:
                 raise ValueError(f"no frames in {args.annotations}")
 
-        write_jsonl(args.out, records())
-        return count, decisions, evaluate_detections(scores)
+        evaluation = write_jsonl(args.out, flat_frames(), scored_lines)
+        return count, decisions, evaluation
 
     # Videos run in name order and frames in id order, which is the frame
     # order scoring ranks by. A file whose videos come one after another in
@@ -250,7 +259,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if outcome is None:  # out of the except clause, whose traceback holds the first attempt
         videos = read_annotations(args.annotations, s1)
         outcome = run_videos((name, videos.pop(name)) for name in sorted(videos))
-    video_count, decisions, report = outcome
+    video_count, decisions, evaluation = outcome
     cost = aggregate(decisions, cost_params)
     summary = {
         "annotations": args.annotations,
@@ -267,10 +276,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         },
         "videos": video_count,
         "cost": cost.to_json_dict(),
-        "evaluation": report.to_json_dict(),
+        "evaluation": evaluation,
     }
     write_json(summary_path, summary)
-    mean_ap = "n/a" if report.mean_ap is None else f"{report.mean_ap:.4f}"
+    mean_ap = "n/a" if evaluation["mAP"] is None else f"{evaluation['mAP']:.4f}"
     print(
         f"processed {len(decisions)} frames ({args.mode}): "
         f"flop_reduction={cost.flop_reduction:.4f} mAP={mean_ap}"

@@ -23,42 +23,35 @@ same to the bit.
 
 from array import array
 from functools import reduce
-from operator import add
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import add, itemgetter
+from typing import Iterable, Mapping, Optional
 
 from ._record import frozen
-from .pipeline import Detection, GtObject
 
 # One frame's detections as (class_id, confidence, hit), highest confidence
 # first, and its ground-truth count per class.
 FrameMatch = tuple[list[tuple[int, float, bool]], dict[int, int]]
 
 
-def _by_confidence(det: Detection) -> float:
-    return -det.confidence
-
-
-def match_frame(
-    detections: Sequence[Detection],
-    objects: Sequence[GtObject],
-    iou_threshold: float = 0.5,
-) -> FrameMatch:
-    """Greedily match one frame's detections to its ground truth."""
+def match_frame(frame: tuple, iou_threshold: float = 0.5) -> FrameMatch:
+    """Greedily match the detections of a frame in `formats.flat_frame`'s
+    form, each (class_id, confidence, box), to its objects, each (class_id,
+    box), with every box (x_min, y_min, x_max, y_max)."""
+    _, _, _, objects, detections, _ = frame
     boxes_by_class: dict[int, list[tuple[float, float, float, float]]] = {}
-    for obj in objects:
-        r = obj.rect
-        boxes_by_class.setdefault(obj.class_id, []).append((r.x_min, r.y_min, r.x_max, r.y_max))
+    for class_id, box in objects:
+        boxes_by_class.setdefault(class_id, []).append(box)
     gt_counts = {class_id: len(boxes) for class_id, boxes in boxes_by_class.items()}
     matched = []
-    for det in sorted(detections, key=_by_confidence):
+    # A stable sort, reversed, keeps input order among equal confidences.
+    for class_id, confidence, box in sorted(detections, key=itemgetter(1), reverse=True):
         hit = False
         # A matched box is removed from its class's list, so the boxes left
         # are the unmatched ones in input order and an IoU tie still goes to
         # the first of them.
-        boxes = boxes_by_class.get(det.class_id)
+        boxes = boxes_by_class.get(class_id)
         if boxes:
-            r = det.rect
-            ax0, ay0, ax1, ay1 = r.x_min, r.y_min, r.x_max, r.y_max
+            ax0, ay0, ax1, ay1 = box
             area_a = (ax1 - ax0) * (ay1 - ay0)
             best_iou = 0.0
             best_idx = -1
@@ -77,7 +70,7 @@ def match_frame(
             if best_idx >= 0 and best_iou >= iou_threshold:
                 del boxes[best_idx]
                 hit = True
-        matched.append((det.class_id, det.confidence, hit))
+        matched.append((class_id, confidence, hit))
     return matched, gt_counts
 
 

@@ -10,15 +10,18 @@ on ingest. `iter_frames` parses and checks one line at a time and yields
 each frame as its line is read; `read_annotations` groups them per video.
 Result files mirror the input records and add the processing
 decision and the detections (with confidence); packed frames also carry
-their plan in working-frame pixels. Annotation lines and result lines share
-one frame encoder, `_frame_entry`, and one writer, `write_jsonl`.
+their plan in working-frame pixels.
 
 Every file is written to `<path>.tmp` and moved over `path` once complete.
-`write_jsonl` takes each record as its iterable yields it and hands it, in
-batches, to a helper process that encodes it as JSON and writes it, so a
-caller can stream records that are made one at a time while the encoding
-runs on another CPU; a failure while producing them leaves neither a
-partial file nor the temporary one.
+`write_jsonl` takes each item as its iterable yields it and hands it, in
+batches, to a helper process that turns it into a record, encodes that as
+JSON and writes it, so a caller can stream items that are made one at a
+time while the rest of the work runs on another CPU; a failure while
+producing them leaves neither a partial file nor the temporary one. A
+command's main process therefore makes each frame only in `flat_frame`'s
+form of built-in values, and the helper builds its line with
+`result_record`: `gen` hands over annotation frames so, and `run` its
+result frames, which its helper also scores.
 """
 
 import builtins
@@ -27,7 +30,8 @@ import marshal
 import os
 import signal
 from contextlib import contextmanager, suppress
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 try:
     from fcntl import F_SETPIPE_SZ, fcntl
@@ -35,8 +39,7 @@ except ImportError:  # F_SETPIPE_SZ is Linux-only
     F_SETPIPE_SZ = None
 
 from .geometry import FrameSpec, Rect
-from .packing import PackPlan
-from .pipeline import Detection, FrameRecord, GroundTruthFrame, GtObject
+from .pipeline import FrameRecord, GroundTruthFrame, GtObject
 
 
 class AnnotationError(ValueError):
@@ -63,27 +66,61 @@ def replacing(path: str, newline=None):
         raise
 
 
-def _rect_to_norm(rect: Rect, side: float) -> dict:
-    return {
-        "x0": rect.x_min / side,
-        "y0": rect.y_min / side,
-        "x1": rect.x_max / side,
-        "y1": rect.y_max / side,
-    }
+_corners = attrgetter("x_min", "y_min", "x_max", "y_max")
 
 
-def _frame_entry(video: str, frame: GroundTruthFrame, side: float) -> dict:
-    """A frame's annotation line; its result line starts from it."""
-    objects = [{"class": o.class_id, **_rect_to_norm(o.rect, side)} for o in frame.objects]
-    return {"video": video, "frame": frame.frame_id, "objects": objects}
+def flat_frame(video: str, frame: GroundTruthFrame, outcome: Optional[FrameRecord] = None):
+    """`frame` of `video` in the flat form that crosses to the encoder
+    process, a tuple of built-in values alone, which marshal carries:
+
+        (video, frame_id, decision, objects, detections, plan)
+
+    Each object is (class_id, box), each detection (class_id, confidence,
+    box) and each box (x_min, y_min, x_max, y_max) in working-frame pixels.
+    A packed frame's plan is (method, slots), each slot (src box, dst box,
+    scale_x, scale_y). Without `outcome` the decision and the plan are None
+    and there are no detections: the frame's annotation line.
+    """
+    objects = [(o.class_id, _corners(o.rect)) for o in frame.objects]
+    if outcome is None:
+        return video, frame.frame_id, None, objects, [], None
+    detections = [(d.class_id, d.confidence, _corners(d.rect)) for d in outcome.detections]
+    plan = outcome.plan
+    if plan is not None:
+        slots = [(_corners(s.src), _corners(s.dst), s.scale_x, s.scale_y) for s in plan.slots]
+        plan = plan.method.value, slots
+    return video, frame.frame_id, outcome.decision.kind.value, objects, detections, plan
+
+
+def result_record(frame: tuple, frame_spec: FrameSpec) -> dict:
+    """The line of a flat frame: its annotation line, and with a decision
+    its result line, whose detections and plan follow the objects."""
+    video, frame_id, decision, objects, detections, plan = frame
+    s = frame_spec.side
+    record = {"video": video, "frame": frame_id, "objects": [
+        {"class": c, "x0": x0 / s, "y0": y0 / s, "x1": x1 / s, "y1": y1 / s}
+        for c, (x0, y0, x1, y1) in objects
+    ]}
+    if decision is not None:
+        record["decision"] = decision
+        record["detections"] = [
+            {"class": c, "confidence": p, "x0": x0 / s, "y0": y0 / s, "x1": x1 / s, "y1": y1 / s}
+            for c, p, (x0, y0, x1, y1) in detections
+        ]
+    if plan is not None:
+        method, slots = plan
+        slots = [{"src": list(src), "dst": list(dst), "scale": [sx, sy]}
+                 for src, dst, sx, sy in slots]
+        record["plan"] = {"method": method, "slots": slots}
+    return record
 
 
 def write_annotations(
     path: str, videos: Iterable[tuple[str, Sequence[GroundTruthFrame]]], frame_spec: FrameSpec
 ):
     """Write each (name, frames) pair's frames as it is yielded."""
-    side = frame_spec.side
-    write_jsonl(path, (_frame_entry(name, f, side) for name, frames in videos for f in frames))
+    flat = (flat_frame(name, f) for name, frames in videos for f in frames)
+    write_jsonl(path, flat, lambda frames: (result_record(f, frame_spec) for f in frames))
 
 
 def _parse_object(raw: object, side: float, where: str) -> GtObject:
@@ -192,61 +229,21 @@ def read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, list[GroundT
     return videos
 
 
-def detection_entry(det: Detection, side: float) -> dict:
-    return {
-        "class": det.class_id,
-        "confidence": det.confidence,
-        **_rect_to_norm(det.rect, side),
-    }
-
-
-def _rect_list(rect: Rect) -> list[float]:
-    return [rect.x_min, rect.y_min, rect.x_max, rect.y_max]
-
-
-def plan_entry(plan: PackPlan) -> dict:
-    """Plan summary in working-frame pixels (src at full size, dst reduced)."""
-    return {
-        "method": plan.method.value,
-        "slots": [
-            {
-                "src": _rect_list(slot.src),
-                "dst": _rect_list(slot.dst),
-                "scale": [slot.scale_x, slot.scale_y],
-            }
-            for slot in plan.slots
-        ],
-    }
-
-
-def result_record(
-    video: str, frame: GroundTruthFrame, outcome: FrameRecord, frame_spec: FrameSpec
-) -> dict:
-    """The result line of `frame`, processed as `outcome` records."""
-    side = frame_spec.side
-    record = _frame_entry(video, frame, side)
-    record["decision"] = outcome.decision.kind.value
-    record["detections"] = [detection_entry(det, side) for det in outcome.detections]
-    if outcome.plan is not None:
-        record["plan"] = plan_entry(outcome.plan)
-    return record
-
-
 _BATCH = 64  # records per message to the encoder process
 _PIPE_BYTES = 1 << 20  # pipe capacity asked for, so the producer seldom waits
 
 
-def _batches(records: Iterable) -> Iterator[list]:
-    """Lists of up to _BATCH records, each taken as marshal bytes the moment
+def _batches(items: Iterable) -> Iterator[list]:
+    """Lists of up to _BATCH items, each taken as marshal bytes the moment
     it is yielded. marshal takes only exact built-in types where json also
-    takes their subclasses, so a record marshal refuses is encoded here
+    takes their subclasses, so an item marshal refuses is encoded here
     instead, and json's own TypeError names what neither can encode."""
     batch = []
-    for record in records:
+    for item in items:
         try:
-            batch.append(marshal.dumps(record))
+            batch.append(marshal.dumps(item))
         except ValueError:
-            batch.append(json.dumps(record) + "\n")
+            batch.append(json.dumps(item) + "\n")
         if len(batch) == _BATCH:
             yield batch
             batch = []
@@ -254,16 +251,30 @@ def _batches(records: Iterable) -> Iterator[list]:
         yield batch
 
 
-def _encode(batches: Iterable[list], fh) -> None:
-    """The encoder loop: one JSON line per record."""
-    for batch in batches:
-        for item in batch:
-            fh.write(item if type(item) is str else json.dumps(marshal.loads(item)) + "\n")
+class _Encoded(str):
+    """The JSON line `_batches` made of an item marshal refused."""
 
 
-def _send(pipe, batch: list) -> bool:
-    """Write one length-prefixed batch; False once the encoder has gone."""
-    payload = marshal.dumps(batch)
+def _encode(batches: Iterable[list], fh, lines=iter):
+    """The encoder loop: one JSON line per record that `lines` makes of the
+    items in `batches`; returns the value `lines` returns."""
+    items = (
+        _Encoded(item) if type(item) is str else marshal.loads(item)
+        for batch in batches
+        for item in batch
+    )
+    records = lines(items)
+    while True:
+        try:
+            record = next(records)
+        except StopIteration as end:
+            return end.value
+        fh.write(record if type(record) is _Encoded else json.dumps(record) + "\n")
+
+
+def _send(pipe, message) -> bool:
+    """Write one length-prefixed message; False once the reader has gone."""
+    payload = marshal.dumps(message)
     view = memoryview(len(payload).to_bytes(8, "little") + payload)
     try:
         while view:
@@ -273,36 +284,42 @@ def _send(pipe, batch: list) -> bool:
     return True
 
 
-def _received(fd: int) -> Iterator[list]:
-    """The batches `_send` wrote, until the pipe is closed. Each is read
+def _received(pipe) -> Iterator:
+    """The messages `_send` wrote, until the pipe is closed. Each is read
     whole: marshal.load would read a pipe object by object."""
-    with open(fd, "rb") as pipe:
-        while header := pipe.read(8):
-            yield marshal.loads(pipe.read(int.from_bytes(header, "little")))
+    while header := pipe.read(8):
+        yield marshal.loads(pipe.read(int.from_bytes(header, "little")))
 
 
-def _encoder_child(fh, data_r: int, report_w: int, parent_ends: tuple) -> None:
-    """The forked encoder: write what the pipe brings into `fh` and report
-    a failure as its exception's (name, args). It leaves only through
-    os._exit, so it never returns into the caller's frames, runs their
-    `finally` blocks or flushes the stdio buffers it inherited."""
+def _encoder_child(fh, lines, data_r: int, report_w: int, parent_ends: tuple) -> None:
+    """The forked encoder: write the lines `lines` makes of what the pipe
+    brings into `fh`, then report (None, the value `lines` returns), or a
+    failure as (the name of its exception's nearest built-in class, its
+    args). It leaves only through os._exit, so it never returns into the
+    caller's frames, runs their `finally` blocks or flushes the stdio
+    buffers it inherited."""
     status = 1
     try:
-        for fd in parent_ends:
-            os.close(fd)
-        _encode(_received(data_r), fh)
-        fh.flush()
+        with open(report_w, "wb", buffering=0) as report:
+            try:
+                for fd in parent_ends:
+                    os.close(fd)
+                with open(data_r, "rb") as data:
+                    outcome = None, _encode(_received(data), fh, lines)
+                fh.flush()
+            except Exception as exc:
+                kind = next(c for c in type(exc).__mro__ if getattr(builtins, c.__name__, 0) is c)
+                outcome = kind.__name__, exc.args
+            _send(report, outcome)
         status = 0
-    except Exception as exc:
-        with suppress(OSError):
-            os.write(report_w, marshal.dumps((type(exc).__name__, exc.args)))
     finally:
         os._exit(status)
 
 
-def _encode_in_child(batches: Iterable[list], fh) -> None:
+def _encode_in_child(batches: Iterable[list], fh, lines):
     """Run `_encode` in a forked process that writes into `fh`, feed it the
-    batches over a pipe, and reap it however this ends."""
+    batches over a pipe, reap it however this ends, and return the value
+    its `lines` returned."""
     data_r, data_w = os.pipe()
     report_r, report_w = os.pipe()
     if F_SETPIPE_SZ is not None:
@@ -321,7 +338,7 @@ def _encode_in_child(batches: Iterable[list], fh) -> None:
             os.close(report_w)
             raise
         if pid == 0:
-            _encoder_child(fh, data_r, report_w, (data_w, report_r))
+            _encoder_child(fh, lines, data_r, report_w, (data_w, report_r))
         os.close(data_r)
         os.close(report_w)
         try:
@@ -330,34 +347,42 @@ def _encode_in_child(batches: Iterable[list], fh) -> None:
                 if not _send(pipe, batch):
                     break  # the encoder failed; its report says why
             pipe.close()
-            failure = report.read()
+            outcome = next(_received(report), None)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             status = os.waitpid(pid, 0)[1]
-    if failure:  # json, marshal and file writes raise only built-in exceptions
-        name, args = marshal.loads(failure)
-        raise getattr(builtins, name)(*args)
-    if status:
+    if outcome is None:
         raise OSError(f"JSON encoder process ended with wait status {status}")
+    failure, value = outcome
+    if failure is not None:
+        raise getattr(builtins, failure)(*value)
+    return value
 
 
-def write_jsonl(path: str, records: Iterable[dict]):
-    """Write one JSON line per record, in the order yielded.
+def write_jsonl(path: str, items: Iterable, lines=iter):
+    """Write one JSON line per record that `lines` makes of `items`, in the
+    order yielded, and return the value `lines` returns.
 
-    Each record is taken as soon as it is yielded, so the caller may reuse
-    or drop it. A helper process forked for the call encodes the records,
-    in batches, and writes the file while the caller goes on making the
-    next ones; where `os.fork` does not exist the same loop runs here. A
-    record json cannot encode raises TypeError, and any failure, in either
-    process, leaves neither a partial file nor the temporary one. No
+    `lines` takes an iterator of the items and yields one record for each;
+    the default, `iter`, writes each item as its record. Each item is taken
+    as soon as it is yielded, so the caller may reuse or drop it. A helper
+    process forked for the call gets the items in batches, runs `lines`
+    over them, encodes the records and writes the file while the caller
+    goes on making the next items, and sends the value back as a marshal
+    copy; where `os.fork` does not exist the same loop runs here. Items
+    cross as marshal copies; an item marshal refuses is encoded here, and
+    `lines` gets it as its JSON line, which is written as it is. A record
+    json cannot encode raises TypeError, a failure in the helper is raised
+    here as its exception's nearest built-in class, and any failure, in
+    either process, leaves neither a partial file nor the temporary one. No
     command starts a thread, so the fork never meets Python 3.12's
     DeprecationWarning about forking a process that has threads.
     """
     with replacing(path) as fh:
         encode = _encode_in_child if hasattr(os, "fork") else _encode
-        encode(_batches(records), fh)
+        return encode(_batches(items), fh, lines)
 
 
 def write_json(path: str, payload: dict):

@@ -37,7 +37,8 @@ from typing import Hashable, Optional, Sequence
 import numpy as np
 
 from roipack.evaluation import EvalReport, Scores, match_frame, mean_average_precision
-from roipack.formats import AnnotationError
+from roipack.costmodel import FrameDecision
+from roipack.formats import AnnotationError, flat_frame
 from roipack.geometry import FrameSpec, Rect, intersection, iou
 from roipack.packing import (
     GROWTH_STEP,
@@ -50,7 +51,7 @@ from roipack.packing import (
     choose_layout,
     place_and_fit,
 )
-from roipack.pipeline import Detection, FullView, GroundTruthFrame, GtObject, View
+from roipack.pipeline import Detection, FrameRecord, FullView, GroundTruthFrame, GtObject, View
 from roipack.simdet import (
     _STREAM_DETECT,
     NoiseModel,
@@ -488,6 +489,13 @@ def _ranked(
     return [(frame_key, det) for frame_key, _, det in indexed]
 
 
+def match(detections, objects, iou_threshold=0.5):
+    """Not an oracle: the package's `match_frame` of one frame's Detection
+    and GtObject sequences, converted to the flat form by `flat_frame`."""
+    outcome = FrameRecord(0, FrameDecision.anchor(), tuple(detections))
+    return match_frame(flat_frame("", GroundTruthFrame(0, tuple(objects)), outcome), iou_threshold)
+
+
 def matched_frames(detections, ground_truth, iou_threshold=0.5):
     """Not an oracle: the package's `Scores` of the per-frame `match_frame`
     results for (frame key, object) pairs, added in sorted frame-key order,
@@ -497,7 +505,7 @@ def matched_frames(detections, ground_truth, iou_threshold=0.5):
         frames.setdefault(key, ([], []))[0].append(det)
     for key, gt in ground_truth:
         frames.setdefault(key, ([], []))[1].append(gt)
-    return Scores(match_frame(*frames[key], iou_threshold) for key in sorted(frames))
+    return Scores(match(*frames[key], iou_threshold) for key in sorted(frames))
 
 
 def reference_average_precision(

@@ -15,13 +15,14 @@ import pytest
 
 from oracles import (
     brute_components,
+    match,
     matched_frames,
     raster_region_iou,
     raster_union_area,
     reference_ap,
 )
 from roipack.costmodel import CostParams, DecisionKind, aggregate, frame_cost
-from roipack.evaluation import Scores, evaluate_detections, match_frame
+from roipack.evaluation import Scores, evaluate_detections
 from roipack.geometry import FrameSpec, Rect, union_area
 from roipack.packing import connected_components, pack, pack_naive
 from roipack.pipeline import Detection, FrameDecision, PipelineConfig, map_back, run_video
@@ -187,8 +188,8 @@ def test_criterion_5_static_noise_free_run_is_lossless():
         base = run_video(len(frames), PipelineConfig(anchor_interval=1), detector)
         for frame, rec_p, rec_b in zip(frames, pad.records, base.records):
             key = (vid, frame.frame_id)
-            matches_pad.append(match_frame(rec_p.detections, frame.objects))
-            matches_base.append(match_frame(rec_b.detections, frame.objects))
+            matches_pad.append(match(rec_p.detections, frame.objects))
+            matches_base.append(match(rec_b.detections, frame.objects))
             if len(rec_p.detections) != len(rec_b.detections):
                 failures.append(f"{key}: {len(rec_p.detections)} vs {len(rec_b.detections)}")
                 continue
@@ -273,7 +274,7 @@ def test_criterion_7_region_aware_packing_beats_naive_packing():
                 detector = SimulatedDetector(frames, noise)
                 run = run_video(len(frames), CFG, detector, packer=packer)
                 for frame, rec in zip(frames, run.records):
-                    matches.append(match_frame(rec.detections, frame.objects))
+                    matches.append(match(rec.detections, frame.objects))
             scores[packer] = evaluate_detections(Scores(matches)).mean_ap
         if not scores[pack] > scores[pack_naive]:
             failures.append(

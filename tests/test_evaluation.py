@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    match,
     matched_frames,
     reference_ap,
     reference_average_precision,
     reference_evaluate_detections,
 )
-from roipack.evaluation import Scores, evaluate_detections, match_frame, mean_average_precision
+from roipack.evaluation import Scores, evaluate_detections, mean_average_precision
 from roipack.geometry import Rect
 from roipack.pipeline import Detection, GtObject, PipelineConfig, run_video
 from roipack.simdet import NoiseModel, SimulatedDetector, SyntheticParams, gen_synthetic
@@ -244,7 +245,7 @@ class TestMatchesPreviousEvaluator:
                 key = (f"v{seed}", frame.frame_id)
                 dets.extend((key, det) for det in rec.detections)
                 gts.extend((key, obj) for obj in frame.objects)
-                matches.append(match_frame(rec.detections, frame.objects))
+                matches.append(match(rec.detections, frame.objects))
         got = evaluate_detections(Scores(matches))
         want = reference_evaluate_detections(dets, gts)
         assert (got.per_class, got.mean_ap) == (want.per_class, want.mean_ap)
@@ -313,7 +314,7 @@ class TestTiesAtClippedConfidence:
                 key = (f"v{seed}", frame.frame_id)
                 dets.extend((key, det) for det in rec.detections)
                 gts.extend((key, obj) for obj in frame.objects)
-                matches.append(match_frame(rec.detections, frame.objects))
+                matches.append(match(rec.detections, frame.objects))
         tied = [row for matched, _ in matches for row in matched if row[1] == 1.0]
         for cls in range(3):
             hits = [hit for class_id, _, hit in tied if class_id == cls]
@@ -331,19 +332,19 @@ class TestTiesAtClippedConfidence:
 class TestPerFrameMatching:
     def test_highest_confidence_first_and_input_order_on_ties(self):
         dets = [d(GT_A, 0.5), d(FAR, 0.9), d(GT_B, 0.5, cls=1), d(FAR, 0.5)]
-        matched, gt_counts = match_frame(dets, [GtObject(0, GT_A), GtObject(0, GT_B)])
+        matched, gt_counts = match(dets, [GtObject(0, GT_A), GtObject(0, GT_B)])
         assert matched == [(0, 0.9, False), (0, 0.5, True), (1, 0.5, False), (0, 0.5, False)]
         assert gt_counts == {0: 2}
 
     def test_keeps_only_plain_values(self):
         dets, gts = worked_example()
-        matched, gt_counts = match_frame([det for _, det in dets], [gt for _, gt in gts])
+        matched, gt_counts = match([det for _, det in dets], [gt for _, gt in gts])
         assert {type(v) for row in matched for v in row} == {int, float, bool}
         assert {type(v) for item in gt_counts.items() for v in item} == {int}
 
     def test_cross_frame_tie_goes_to_the_earlier_frame(self):
-        miss = match_frame([d(FAR, 1.0)], [GtObject(0, GT_A)])
-        hit = match_frame([d(GT_B, 1.0)], [GtObject(0, GT_B)])
+        miss = match([d(FAR, 1.0)], [GtObject(0, GT_A)])
+        hit = match([d(GT_B, 1.0)], [GtObject(0, GT_B)])
         # Ranked miss then hit, precision at the only recall step is 1/2.
         assert evaluate_detections(Scores([miss, hit])).per_class == {0: 0.25}
         assert evaluate_detections(Scores([hit, miss])).per_class == {0: 0.5}
@@ -357,7 +358,7 @@ class TestPerFrameMatching:
             if not gts:
                 continue
             frames = [
-                match_frame(
+                match(
                     [det for k, det in dets if k == key],
                     [gt for k, gt in gts if k == key],
                     threshold,

@@ -1,4 +1,5 @@
 import json
+import marshal
 import math
 import os
 import subprocess
@@ -16,9 +17,8 @@ import roipack
 from roipack.costmodel import FrameDecision
 from roipack.formats import (
     AnnotationError,
-    detection_entry,
+    flat_frame,
     iter_frames,
-    plan_entry,
     read_annotations,
     result_record,
     write_annotations,
@@ -291,28 +291,32 @@ class TestParseMatchesReference:
 class TestResultRecords:
     def test_detection_entry_normalizes(self):
         det = Detection(Rect(75, 150, 225, 300), class_id=2, confidence=0.7)
-        assert detection_entry(det, 300.0) == {
+        outcome = FrameRecord(0, FrameDecision.anchor(), (det,))
+        record = result_record(flat_frame("v", frame_of(0), outcome), FRAME)
+        assert record["detections"] == [{
             "class": 2,
             "confidence": 0.7,
             "x0": 0.25,
             "y0": 0.5,
             "x1": 0.75,
             "y1": 1.0,
-        }
+        }]
 
     def test_plan_entry_lists_slots_in_pixels(self):
         plan = pack([Rect(100, 120, 180, 180)], FRAME, FrameSpec(150.0))
-        entry = plan_entry(plan)
-        assert entry["method"] == "greedy"
-        assert entry["slots"] == [
-            {"src": [65.0, 75.0, 215.0, 225.0], "dst": [0.0, 0.0, 150.0, 150.0],
-             "scale": [1.0, 1.0]}
-        ]
+        outcome = FrameRecord(4, FrameDecision.packed(), (), plan)
+        record = result_record(flat_frame("v", frame_of(4), outcome), FRAME)
+        assert record["plan"] == {
+            "method": "greedy",
+            "slots": [{"src": [65.0, 75.0, 215.0, 225.0], "dst": [0.0, 0.0, 150.0, 150.0],
+                       "scale": [1.0, 1.0]}],
+        }
 
     def test_packed_record_carries_plan(self):
         plan = pack([Rect(100, 120, 180, 180)], FRAME, FrameSpec(150.0))
         frame = frame_of(4, Rect(75, 75, 150, 150))
-        record = result_record("v", frame, FrameRecord(4, FrameDecision.packed(), (), plan), FRAME)
+        outcome = FrameRecord(4, FrameDecision.packed(), (), plan)
+        record = result_record(flat_frame("v", frame, outcome), FRAME)
         assert record["decision"] == "packed"
         assert record["video"] == "v" and record["frame"] == 4
         assert "plan" in record
@@ -321,10 +325,25 @@ class TestResultRecords:
         frame = frame_of(0, Rect(75, 75, 150, 150))
         detections = (Detection(Rect(75, 75, 150, 150), 0, 0.9),)
         outcome = FrameRecord(0, FrameDecision.anchor(), detections)
-        record = result_record("v", frame, outcome, FRAME)
+        record = result_record(flat_frame("v", frame, outcome), FRAME)
         assert record["decision"] == "anchor"
         assert "plan" not in record
         assert len(record["detections"]) == 1
+
+    def test_a_frame_without_an_outcome_is_its_annotation_line(self):
+        frame = frame_of(3, Rect(0, 37.5, 75, 150), cls=1)
+        assert result_record(flat_frame("v", frame), FRAME) == {
+            "video": "v",
+            "frame": 3,
+            "objects": [{"class": 1, "x0": 0.0, "y0": 0.125, "x1": 0.25, "y1": 0.5}],
+        }
+
+    def test_the_flat_form_holds_only_exact_builtins(self):
+        plan = pack([Rect(100, 120, 180, 180)], FRAME, FrameSpec(150.0))
+        detections = (Detection(Rect(75, 75, 150, 150), 0, 0.9),)
+        outcome = FrameRecord(4, FrameDecision.packed(), detections, plan)
+        flat = flat_frame("v", frame_of(4, Rect(75, 75, 150, 150)), outcome)
+        assert marshal.loads(marshal.dumps(flat)) == flat  # marshal refuses subclasses
 
 
 class TestWriters:
@@ -435,6 +454,44 @@ class TestEncoderProcess:
             write_jsonl(str(path), [{"a": 1}, {"s": {1, 2}}])
         assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+    def test_the_value_lines_returns_comes_back_intact(self, tmp_path, encoder):
+        # Larger than a pipe's default 64 KiB buffer, so it crosses in parts.
+        big = {"pad": "x" * (1 << 17), "floats": [0.1 * i for i in range(5000)], "none": None}
+
+        def lines(items):
+            seen = 0
+            for item in items:
+                seen += 1
+                yield {"n": 2 * item["n"]}
+            return {**big, "seen": seen}
+
+        path = tmp_path / "out.jsonl"
+        value = write_jsonl(str(path), ({"n": i} for i in range(200)), lines)
+        assert value == {**big, "seen": 200}
+        assert len(marshal.dumps(value)) > 1 << 16
+        assert path.read_text() == "".join(f'{{"n": {2 * i}}}\n' for i in range(200))
+        assert write_jsonl(str(path), [{"a": 1}]) is None  # the default writes items as records
+        no_child_left()
+
+    @pytest.mark.parametrize("where", ["per item", "at the end"])
+    def test_a_failure_in_lines_is_raised_as_its_built_in_class(self, tmp_path, encoder, where):
+        def lines(items):
+            for item in items:
+                if where == "per item" and item == 150:
+                    raise AnnotationError("item 150 failed")
+                yield item
+            raise AnnotationError("the end failed")
+
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+        # AnnotationError is a ValueError, which is what crosses the pipe.
+        message = "item 150 failed" if where == "per item" else "the end failed"
+        with pytest.raises(ValueError, match=message):
+            write_jsonl(str(path), range(300), lines)
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+        no_child_left()
 
     def test_encoder_failure_stops_the_producer_early(self, tmp_path):
         taken = []
