@@ -47,6 +47,21 @@ GOLDEN = {
     ),
 }
 
+# (extra run flags) -> (results.jsonl sha256, summary sha256) over the
+# jitter-free fixture (`GEN_ARGS` with `--jitter 0`). With the noise off,
+# `run` reads no normal draw, so a change to the normals alone must keep
+# these as well as `GOLDEN_NO_JITTER`.
+GOLDEN_NOISE_OFF = {
+    ("--mode", "pad"): (
+        "616c33b7effd36cce651ac6e1af3e2c9a3a87555c14e57bff8073b1ce6f103fc",
+        "ca603eaea6d763797906af17d81867f4d8f46fd4ec59869ace1c72a51994c063",
+    ),
+    ("--mode", "naive"): (
+        "87dac52a681d2aff5795b93c25a7d955ea1f061bcb9ae72806a4ff476b6e7186",
+        "80749c521f436e40fe008954604b72dd284963bbdf4501b3fb25cf6852b3d481",
+    ),
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -58,6 +73,15 @@ def dataset(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
         assert main(GEN_ARGS) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def still_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-still")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        assert main([*GEN_ARGS, "--jitter", "0"]) == 0
     return root
 
 
@@ -80,3 +104,15 @@ def test_run_outputs_match_pinned_hashes(flags, dataset, monkeypatch, capsys):
     capsys.readouterr()
     got = (_sha256(dataset / "out.jsonl"), _sha256(dataset / "out.summary.json"))
     assert got == GOLDEN[flags]
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN_NOISE_OFF), ids=lambda f: f[1])
+def test_noise_off_run_without_jitter_matches_pinned_hashes(
+    flags, still_dataset, monkeypatch, capsys
+):
+    monkeypatch.chdir(still_dataset)
+    argv = ["run", "data.jsonl", "--seed", "7", "--out", "out.jsonl", "--noise-profile", "off"]
+    assert main([*argv, *flags]) == 0
+    capsys.readouterr()
+    got = (_sha256(still_dataset / "out.jsonl"), _sha256(still_dataset / "out.summary.json"))
+    assert got == GOLDEN_NOISE_OFF[flags]
