@@ -275,10 +275,11 @@ def _encode(batches: Iterable[list], fh, lines=iter):
 def _send(pipe, message) -> bool:
     """Write one length-prefixed message; False once the reader has gone."""
     payload = marshal.dumps(message)
-    view = memoryview(len(payload).to_bytes(8, "little") + payload)
     try:
-        while view:
-            view = view[pipe.write(view):]
+        for part in (len(payload).to_bytes(8, "little"), payload):
+            view = memoryview(part)
+            while view:
+                view = view[pipe.write(view):]
     except BrokenPipeError:
         return False
     return True

@@ -22,9 +22,9 @@ draws for one object (four normals for the edge jitter, one uniform for
 the margin miss) depend on nothing but that key, and every video of a run
 reuses the same frame ids and object indices, so they are memoized per
 (seed, frame_id, object index) in a bounded cache instead of building a
-generator per detected object. They are the draws numpy's
-`default_rng(key)` makes, computed bit for bit by the pure-Python PCG64,
-SeedSequence and ziggurat port in `_pcg64`, the package's one generator.
+generator per detected object. The generator is `_pcg64`'s PCG64, started
+from the key as numpy's `default_rng(key)` starts, and the normals are two
+polar-method pairs drawn from its uniforms, so they are not numpy's.
 
 A full view reports every object, and it is the view most frames of a
 crowded run fall back to, so its loop reads the noise knobs and the frame
@@ -87,14 +87,11 @@ _DETECT_DRAWS_CACHE_SIZE = 4096
 
 @functools.lru_cache(maxsize=_DETECT_DRAWS_CACHE_SIZE)
 def _detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[float, ...], float]:
-    """Edge-jitter normals and margin-miss uniform for one detected object.
-
-    They equal, to the bit, `standard_normal(4)` then `uniform()` of
-    `numpy.random.default_rng([seed, _STREAM_DETECT, frame_id, idx])`.
-    """
+    """Edge-jitter normals and margin-miss uniform for one detected object:
+    two normal pairs, then a uniform, from the (seed, _STREAM_DETECT,
+    frame_id, idx) generator."""
     rng = PCG64.from_key((seed, _STREAM_DETECT, frame_id, idx))
-    normal = rng.standard_normal
-    return (normal(), normal(), normal(), normal()), rng.next_double()
+    return rng.normal_pair() + rng.normal_pair(), rng.next_double()
 
 
 @frozen
@@ -373,18 +370,18 @@ def gen_synthetic(params: SyntheticParams) -> list[GroundTruthFrame]:
 
     vx = [s * math.cos(a) for s, a in zip(speeds, angles)]
     vy = [s * math.sin(a) for s, a in zip(speeds, angles)]
-    # The step into frame f draws every object's x and then y jitter, so a
+    # The step into frame f draws one (x, y) jitter pair per object, so a
     # shorter video is a prefix of a longer one with the same seed.
-    normal = PCG64.from_key((params.seed, _STREAM_MOTION)).standard_normal
+    normal_pair = PCG64.from_key((params.seed, _STREAM_MOTION)).normal_pair
     sigma = params.jitter_sigma
 
     frames: list[GroundTruthFrame] = []
     for f in range(params.frames):
         if f > 0:
             for i in range(n):
-                jx, jy = sigma * normal(), sigma * normal()
-                nx, bounced_x = _reflect(cx[i] + vx[i] + jx, half_w[i], side - half_w[i])
-                ny, bounced_y = _reflect(cy[i] + vy[i] + jy, half_h[i], side - half_h[i])
+                jx, jy = normal_pair()
+                nx, bounced_x = _reflect(cx[i] + vx[i] + sigma * jx, half_w[i], side - half_w[i])
+                ny, bounced_y = _reflect(cy[i] + vy[i] + sigma * jy, half_h[i], side - half_h[i])
                 cx[i], cy[i] = nx, ny
                 if bounced_x:
                     vx[i] = -vx[i]

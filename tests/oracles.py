@@ -23,7 +23,9 @@ bit-identical boxes.
 
 Likewise reference_oracle_detect is the simulated detector as it was before
 its per-object draws were memoized: it builds a fresh generator for every
-object, and the package must return equal detections. And
+object, numpy's, and draws its normals with reference_normal_pair, its own
+polar-method loop over numpy's uniforms, so it shares no code with the
+package's generator; the package must return equal detections. And
 reference_evaluate_detections is the evaluator as it was before scoring
 became one pass: it re-filters every detection and ground-truth box once per
 class, ranks them over all frames at once and builds a Rect per IoU, and the
@@ -31,6 +33,7 @@ package, which matches frame by frame and then ranks, must report equal APs.
 """
 
 import json
+import math
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence
 
@@ -418,6 +421,26 @@ def reference_read_annotations(path: str, frame_spec: FrameSpec) -> dict[str, li
     return videos
 
 
+def reference_normal_pair(rng: np.random.Generator) -> tuple[float, float]:
+    """Marsaglia and Bray's polar method over `rng.random()`: a point of the
+    square (-1, 1)² is redrawn until its squared radius s is in (0, 1), and
+    scaled by sqrt(-2 ln s / s)."""
+    while True:
+        u = 2.0 * rng.random() - 1.0
+        v = 2.0 * rng.random() - 1.0
+        radius2 = u * u + v * v
+        if 0.0 < radius2 < 1.0:
+            scale = math.sqrt(-2.0 * math.log(radius2) / radius2)
+            return u * scale, v * scale
+
+
+def reference_detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[float, ...], float]:
+    """One object's four edge-jitter normals and its margin-miss uniform,
+    from numpy's `default_rng([seed, _STREAM_DETECT, frame_id, idx])`."""
+    rng = np.random.default_rng([seed, _STREAM_DETECT, frame_id, idx])
+    return reference_normal_pair(rng) + reference_normal_pair(rng), rng.random()
+
+
 def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[Detection]:
     """Simulate detection of a frame's ground truth under a view.
 
@@ -425,16 +448,14 @@ def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel)
     whose center falls inside some slot's src are visible; their boxes are
     mapped through the slot transform and clipped to the slot's dst, and
     the degradation knobs apply. Deterministic given (seed, frame, view).
-    Each object's draws come straight from numpy's `default_rng`, so this
+    Each object's draws come from `reference_detect_draws`, so this
     reference shares no code with the detector's own draws.
     """
     out: list[Detection] = []
     if isinstance(view, FullView):
         bounds = view.frame.bounds
         for idx, obj in enumerate(gt.objects):
-            rng = np.random.default_rng([noise.seed, _STREAM_DETECT, gt.frame_id, idx])
-            z = rng.standard_normal(4)
-            rng.uniform()  # keep the stream aligned with the reduced path
+            z, _ = reference_detect_draws(noise.seed, gt.frame_id, idx)
             conf = base_confidence(noise, obj.rect.area / view.frame.area)
             rect = _jittered(obj.rect, noise.loc_sigma, noise.loc_sigma, z, bounds)
             if rect is not None:
@@ -447,9 +468,7 @@ def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel)
     dest_bounds = plan.dest.bounds
     margin_min, p_miss = noise.margin_miss
     for idx, obj in enumerate(gt.objects):
-        rng = np.random.default_rng([noise.seed, _STREAM_DETECT, gt.frame_id, idx])
-        z = rng.standard_normal(4)
-        u = rng.uniform()
+        z, u = reference_detect_draws(noise.seed, gt.frame_id, idx)
         cx, cy = obj.rect.center
         slot = _covering_slot(plan.slots, cx, cy)
         if slot is None:

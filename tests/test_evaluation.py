@@ -304,8 +304,11 @@ class TestTiesAtClippedConfidence:
         # Most confidences clip to 1.0, and the location noise turns some of
         # those detections into misses in every class, so the rank among
         # equal confidences (frame order, then order within the frame)
-        # decides every AP.
-        noise = NoiseModel(seed=2, loc_sigma=8.0, base_conf=(0.9, 1.0))
+        # decides every AP. With these five videos fixed, the noise seed is
+        # the smallest, counting from 0, at which the assertions on `tied`
+        # below hold in every class; re-derive it by that rule whenever the
+        # detector's or `gen`'s draws change.
+        noise = NoiseModel(seed=1, loc_sigma=8.0, base_conf=(0.9, 1.0))
         dets, gts, matches = [], [], []
         for seed in range(5):
             frames = gen_synthetic(SyntheticParams(frames=25, seed=seed, num_objects=(3, 6)))

@@ -15,7 +15,7 @@ from roipack.cli import main
 
 GEN_ARGS = ["gen", "--videos", "6", "--frames", "30", "--seed", "7", "--out", "data.jsonl"]
 
-DATA_SHA256 = "458f50f817fe7eb6c14e6878802606c96e240dceeb07394d96503e37c8f31761"
+DATA_SHA256 = "23e934aa303722e8d2dd50dcd84eb7c9756215fd2ac76a1d6809997103fd005e"
 
 # (extra gen flags) -> data.jsonl sha256, with the motion jitter off. These
 # outputs use every draw of `gen` but the jitter, so a change to the jitter
@@ -30,19 +30,19 @@ GOLDEN_NO_JITTER = {
 # (extra run flags) -> (results.jsonl sha256, summary sha256)
 GOLDEN = {
     ("--mode", "pad"): (
-        "b23a3d78436085b37d6b1e8bc0215e8949146000d0c4499bebdaab7a38f9ae09",
-        "6704ac97f5a06b3e045e8794916e8fe5270c73127cdcf764903bd0cb96168bb2",
+        "3fbccfdf587178786b1d6db13286cb44a002a53fdca607153316619169a5ffc3",
+        "f04b4085d1d83c294d02fb21af50484aa7dcd29ae4705e8f8eb9e1921b7dc1e6",
     ),
     ("--mode", "naive"): (
-        "d6cb21cc0006c85ac3813da948ad563bd8c93b05f053349cec34293a68547590",
-        "abb546882bd096eb070e9585208e442cc84d379495f5477130b8c1abe0faaeab",
+        "b824853c10da97fc0a87d61eb6f39db8b39199d93c57d536ff0ee6922316c8b1",
+        "e604387dd4c1c4b570a6a19a2ee6fe21ad91d912cb7aaff897fd354b3b3c90fb",
     ),
     ("--mode", "baseline"): (
-        "21e3b3b95aea9a73f252c3396fec78a03e2ccfeb03804f94e1d00a36eed6d36e",
+        "4a99c7bb59eb89f29e49775580441f9ff8d9e130ab283832b20b2784d5fd0af8",
         "e3a0f8e7636e0003a6373c533672cb2c917f225b9dd39e3c866f6bdb8eab5bd9",
     ),
     ("--mode", "pad", "--noise-profile", "off"): (
-        "f5bff36e099c403e26c3bc2fc29a03ddcaeafb180eca664c1e59f4551de07639",
+        "a16d2d6be6ad495912702015cdd6608117b6986f7f64dcc443bb45cde29c3da7",
         "ca603eaea6d763797906af17d81867f4d8f46fd4ec59869ace1c72a51994c063",
     ),
 }

@@ -4,9 +4,9 @@ import time
 
 import numpy as np
 import pytest
-from oracles import reference_oracle_detect
+from oracles import reference_detect_draws, reference_normal_pair, reference_oracle_detect
 
-from roipack._pcg64 import _FI, _KI, _NOR_R, _PCG_MULT, _WI, PCG64
+from roipack._pcg64 import _PCG_MULT, PCG64
 from roipack.geometry import FrameSpec, Rect, union_area
 from roipack.packing import PackMethod, PackPlan, PackSlot, pack, pack_naive
 from roipack.pipeline import FullView, GroundTruthFrame, GtObject, ReducedView
@@ -351,23 +351,20 @@ class TestDetectMatchesReference:
 
 
 def numpy_draws(rng: np.random.Generator) -> tuple[tuple[float, ...], float]:
-    return tuple(rng.standard_normal(4).tolist()), rng.uniform()
+    return reference_normal_pair(rng) + reference_normal_pair(rng), rng.random()
 
 
 def port_draws(rng: PCG64) -> tuple[tuple[float, ...], float]:
-    normal = rng.standard_normal
-    return (normal(), normal(), normal(), normal()), rng.next_double()
+    return rng.normal_pair() + rng.normal_pair(), rng.next_double()
 
 
-def raw_state_for(first: int, second=None, inc=None) -> tuple[int, int]:
-    """A raw PCG64 (state, inc) whose next next64 outputs are `first` and
-    then, but for its lowest bit, `second`: each step lands on the output
-    itself, whose high half is 0, so XSL-RR passes it through unrotated.
-    With one output the increment `inc` is given; with two it is solved
-    for, and the lowest bit of `second` is chosen to make it odd."""
-    if second is not None:
-        second = second & ~1 | (first & 1) ^ 1
-        inc = (second - first * _PCG_MULT) % 2**128
+def raw_state_for(first: int, second: int) -> tuple[int, int]:
+    """A raw PCG64 (state, inc) whose next two next64 outputs are `first`
+    and, but for its lowest bit, `second`: each step lands on the output
+    itself, whose high half is 0, so XSL-RR passes it through unrotated. The
+    lowest bit of `second` is chosen to make the increment odd."""
+    second = second & ~1 | (first & 1) ^ 1
+    inc = (second - first * _PCG_MULT) % 2**128
     return (first - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128, inc
 
 
@@ -383,7 +380,8 @@ def numpy_from_raw(state: int, inc: int) -> np.random.Generator:
 
 
 class TestDrawsEqualNumpy:
-    """The detector's draws are numpy's `default_rng(key)` draws, to the bit."""
+    """The generator is numpy's `default_rng(key)` stream to the bit, and its
+    normals equal the independent polar-method reference over that stream."""
 
     def test_keys_of_several_entropy_words(self):
         rnd = random.Random(20261019)
@@ -397,7 +395,7 @@ class TestDrawsEqualNumpy:
                 rnd.randrange(8),
             ))
         for seed, frame_id, idx in keys:
-            want = numpy_draws(np.random.default_rng([seed, _STREAM_DETECT, frame_id, idx]))
+            want = reference_detect_draws(seed, frame_id, idx)
             assert _detect_draws.__wrapped__(seed, frame_id, idx) == want, (seed, frame_id, idx)
 
     @pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 9])
@@ -405,6 +403,9 @@ class TestDrawsEqualNumpy:
         rnd = random.Random(length)
         for _ in range(50):
             key = [rnd.getrandbits(rnd.choice([1, 32, 64])) for _ in range(length)]
+            raw = np.random.default_rng(key).bit_generator.random_raw(8).tolist()
+            rng = PCG64.from_key(key)
+            assert [rng.next64() for _ in range(8)] == raw, key
             want = numpy_draws(np.random.default_rng(key))
             assert port_draws(PCG64.from_key(key)) == want, key
 
@@ -414,60 +415,40 @@ class TestDrawsEqualNumpy:
         with pytest.raises(ValueError):
             PCG64.from_key((1, _STREAM_DETECT, -1, 0))
 
-    def test_a_million_normals_from_one_key(self):
-        key = (7, _STREAM_DETECT, 2**33 + 1, 2)
-        want = np.random.default_rng(list(key)).standard_normal(1_000_000).tolist()
-        normal = PCG64.from_key(key).standard_normal
-        assert [normal() for _ in range(1_000_000)] == want
+    # (first, second) next64 outputs; `next_double` is the output >> 11 times
+    # 2**-53, so 0 gives x = -1, 1 << 63 gives 0 and 1 << 63 | 1 << 11 gives
+    # 2**-52.
+    @pytest.mark.parametrize(
+        "first, second, rejected",
+        [
+            (1 << 63, 1 << 63, True),  # x = y = 0: s == 0
+            (0, 1 << 63, True),  # x = -1, y = 0: s == 1
+            (0, 0, True),  # x = y = -1: s == 2
+            (1 << 63 | 1 << 11, 1 << 63, False),  # s = 2**-104: a normal near 12
+            (3 << 62, 1 << 62, False),  # x = 0.5, y = -0.5
+        ],
+    )
+    def test_polar_rejections_at_their_edges(self, first, second, rejected):
+        state, inc = raw_state_for(first, second)
+        rng = PCG64(state, inc)
+        pair = rng.normal_pair()
+        assert pair == reference_normal_pair(numpy_from_raw(state, inc))
+        two_steps = PCG64(state, inc)
+        two_steps.next64(), two_steps.next64()
+        assert (rng.state != two_steps.state) == rejected
+        if not rejected:
+            assert all(math.isfinite(z) for z in pair) and pair != (0.0, 0.0)
 
-    def test_every_ziggurat_layer_edge_and_the_tail(self):
-        # The next draw outputs r = rabs << 9 | sign << 8 | idx when the LCG
-        # steps to r itself (high half 0, so XSL-RR rotates by 0). Just below
-        # KI[idx] the draw returns rabs * WI[idx] at once; at KI[idx] it takes
-        # the wedge test on FI[idx - 1] and FI[idx], or for idx 0 the tail.
-        inc = PCG64.from_key((7, _STREAM_DETECT, 0, 0)).inc
-        fast = 0
-        tail_signs = set()
-        for idx in range(256):
-            rabs_values = [_KI[idx] - 1, _KI[idx]] if _KI[idx] else [0]
-            if idx == 0:
-                rabs_values.append(_KI[0] + (1 << 8))  # the tail's other sign
-            for rabs in rabs_values:
-                for sign in (0, 1):
-                    state, _ = raw_state_for(rabs << 9 | sign << 8 | idx, inc=inc)
-                    want = numpy_draws(numpy_from_raw(state, inc))
-                    assert port_draws(PCG64(state, inc)) == want, (idx, rabs, sign)
-                    if rabs < _KI[idx]:
-                        assert want[0][0] == (-1.0 if sign else 1.0) * rabs * _WI[idx]
-                        fast += 1
-                    elif idx == 0:
-                        assert abs(want[0][0]) > _NOR_R
-                        tail_signs.add(want[0][0] > 0)
-        assert fast == 2 * 255 and tail_signs == {False, True}
-
-    def test_every_wedge_test_on_both_sides_of_its_tie(self):
-        # Mid-layer, the wedge test accepts x for every uniform draw up to
-        # some n * 2**-53 and rejects it above. Found with the port's
-        # tables, numpy must agree on both sides of that edge, which pins
-        # FI[idx] to the bit.
-        for idx in range(1, 256):
-            rabs = (_KI[idx] + 2**52) // 2
-            x = rabs * _WI[idx]
-            bound = math.exp(-0.5 * x * x)
-
-            def accepts(n):
-                return (_FI[idx - 1] - _FI[idx]) * (n * 2.0**-53) + _FI[idx] < bound
-
-            lo, hi = 0, 2**53 - 1
-            assert accepts(lo) and not accepts(hi), idx
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
-            for n in (lo, hi):
-                state, inc = raw_state_for(rabs << 9 | idx, n << 11)
-                want = numpy_draws(numpy_from_raw(state, inc))
-                assert port_draws(PCG64(state, inc)) == want, (idx, n)
-                assert (want[0][0] == x) == (n == lo), (idx, n)
+    def test_normals_match_numpy_in_distribution(self):
+        # Two-sample Kolmogorov-Smirnov against numpy's standard normals;
+        # 1.95 * sqrt(2 / n) is the statistic's 0.1% critical value.
+        n = 20_000
+        rng = PCG64.from_key((6, 0))
+        ours = np.sort([z for _ in range(n // 2) for z in rng.normal_pair()])
+        theirs = np.sort(np.random.default_rng(6).standard_normal(n))
+        both = np.concatenate([ours, theirs])
+        gap = np.searchsorted(ours, both, "right") - np.searchsorted(theirs, both, "right")
+        assert np.abs(gap).max() / n < 1.95 * math.sqrt(2.0 / n)
 
 
 class TestGeneratorDraws:
@@ -524,7 +505,7 @@ class TestGeneratorDraws:
             rng = PCG64.from_key(key)
             return [
                 (rng.integers(0, 9), rng.uniform(-1.0, 1.0), rng.beta(2.2, 0.39),
-                 rng.standard_normal())
+                 rng.normal_pair())
                 for _ in range(200)
             ]
 
