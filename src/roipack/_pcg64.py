@@ -119,7 +119,8 @@ def _seed_words(key: Sequence[int]) -> list[int]:
 
 
 class PCG64:
-    """numpy's PCG64 bit generator and the draws `simdet` makes from it.
+    """numpy's PCG64 bit generator and the draws `gen` and the simulated
+    detector make from it.
 
     `state` and `inc` are the raw 128-bit LCG state and increment, the
     values numpy's `PCG64.state["state"]` holds.

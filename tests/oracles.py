@@ -22,8 +22,8 @@ must parse to equal frames or raise the identical message, and merge to
 bit-identical boxes.
 
 Likewise reference_oracle_detect is the simulated detector as it was before
-its per-object draws were memoized: it builds a fresh generator for every
-object, numpy's, and draws its normals with reference_normal_pair, its own
+its per-object draws were memoized: it builds a fresh numpy generator for
+every object and draws its normals with reference_normal_pair, its own
 polar-method loop over numpy's uniforms, so it shares no code with the
 package's generator; the package must return equal detections. And
 reference_evaluate_detections is the evaluator as it was before scoring

@@ -739,8 +739,8 @@ class TestRunMemory:
         # parsed objects, its plan, its detections or their scores. What
         # else grows with the input is mostly the interpreter's free lists.
         # Each input is measured in a fresh interpreter, after an untraced
-        # run of the same input has loaded the detector's draw tables and
-        # filled those lists; in one shared process, the first input
+        # run of the same input has filled the detector's draw cache and
+        # those lists; in one shared process, the first input
         # measured read 40-100 B/frame more than later ones.
         code = (
             "import sys, tracemalloc\n"
