@@ -33,6 +33,14 @@ a list of smallest member indices, and `enclosing` keeps running extremes.
 Ties resolve as min() and max() resolve them, so the boxes are bit-identical
 to a merge built on `intersects` and generator min()/max().
 
+Here and in every module, a tuple built in a function is built from a list,
+`tuple([...])`, never from a generator, and a video's frames and records
+are kept in lists. CPython sizes a tuple from a generator at ten slots and
+shrinks it, so each call leaves one more tuple of the final size on the
+interpreter's free list; and 3.11 and 3.12 park every freed 20-item tuple on
+a free list they never take from. Either way a run's memory climbed with
+its input, up to 2,000 tuples of each size.
+
 A naive baseline packer is included for comparison: each ROI is expanded by
 a fixed factor and rescaled into a fixed grid cell, which distorts aspect
 ratios and provides little context.
@@ -204,7 +212,7 @@ def choose_layout(boxes: Sequence[Rect]) -> Layout:
     # A stable sort keeps index order among equal sizes, reversed or not.
     across = heights if axis == 0 else widths
     order = sorted(range(n), key=across.__getitem__, reverse=True)
-    groups = tuple(tuple(order[r] for r in ranks) for ranks in _GROUPS_BY_COUNT[n])
+    groups = tuple([tuple([order[r] for r in ranks]) for ranks in _GROUPS_BY_COUNT[n]])
     return Layout(axis=axis, groups=groups)
 
 
@@ -548,8 +556,10 @@ def expand_greedy(
     # Rounding may leave a dst ~1e-9 past the frame; that still fits.
     corners, _ = _flush(src, layout)
     slots = tuple(
-        PackSlot(Rect(x0, y0, x1, y1), Rect(x, y, x + (x1 - x0), y + (y1 - y0)), 1.0, 1.0)
-        for (x0, y0, x1, y1), (x, y) in zip(src, corners)
+        [
+            PackSlot(Rect(x0, y0, x1, y1), Rect(x, y, x + (x1 - x0), y + (y1 - y0)), 1.0, 1.0)
+            for (x0, y0, x1, y1), (x, y) in zip(src, corners)
+        ]
     )
     return PackPlan(slots=slots, dest=dest, method=PackMethod.GREEDY, source=source)
 

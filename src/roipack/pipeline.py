@@ -176,7 +176,7 @@ def step(
 class VideoRun:
     """All frame records of one video plus the aggregated cost."""
 
-    records: tuple[FrameRecord, ...]
+    records: list[FrameRecord]
     cost: CostReport
 
 
@@ -207,4 +207,4 @@ def run_video(
         prev = record.detections
     params = cost_params or CostParams.for_frames(config.s1, config.s2)
     cost = aggregate([r.decision for r in records], params)
-    return VideoRun(records=tuple(records), cost=cost)
+    return VideoRun(records=records, cost=cost)

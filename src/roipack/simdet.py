@@ -259,7 +259,7 @@ class SimulatedDetector:
     """
 
     def __init__(self, frames: Sequence[GroundTruthFrame], noise: NoiseModel):
-        self._frames = tuple(frames)
+        self._frames = list(frames)
         self._noise = noise
 
     def detect(self, frame_index: int, view: View) -> list[Detection]:
@@ -388,16 +388,18 @@ def gen_synthetic(params: SyntheticParams) -> list[GroundTruthFrame]:
                 if bounced_y:
                     vy[i] = -vy[i]
         objects = tuple(
-            GtObject(
-                classes[i],
-                Rect(
-                    cx[i] - half_w[i],
-                    cy[i] - half_h[i],
-                    cx[i] + half_w[i],
-                    cy[i] + half_h[i],
-                ),
-            )
-            for i in range(n)
+            [
+                GtObject(
+                    classes[i],
+                    Rect(
+                        cx[i] - half_w[i],
+                        cy[i] - half_h[i],
+                        cx[i] + half_w[i],
+                        cy[i] + half_h[i],
+                    ),
+                )
+                for i in range(n)
+            ]
         )
         frames.append(GroundTruthFrame(f, objects))
     return frames

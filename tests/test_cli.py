@@ -681,6 +681,22 @@ class TestEncoderProcessWork:
 
 
 class TestRunMemory:
+    INPUTS = {
+        "crowded": dict(min_objects="4", max_objects="8", occupancy="0.35"),
+        "road": {},
+    }
+
+    @staticmethod
+    def fresh_python(code, *args):
+        """The words `code` prints, run with `args` in a fresh interpreter."""
+        env = {**os.environ, "PYTHONPATH": str(Path(roipack.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
     def test_live_objects_do_not_grow_with_the_run(self, tmp_path, monkeypatch):
         ann = gen(tmp_path, videos="8", frames="20", seed="3")
         live = []
@@ -736,12 +752,13 @@ class TestRunMemory:
         # The encoder is a forked process that builds, scores and ranks the
         # result lines, so tracemalloc sees only what `run`'s own process
         # holds: per frame, a reference to its shared decision, and not its
-        # parsed objects, its plan, its detections or their scores. What
-        # else grows with the input is mostly the interpreter's free lists.
-        # Each input is measured in a fresh interpreter, after an untraced
-        # run of the same input has filled the detector's draw cache and
-        # those lists; in one shared process, the first input
-        # measured read 40-100 B/frame more than later ones.
+        # parsed objects, its plan, its detections or their scores. Most of
+        # what else grew with the input were tuples that `run`'s own code
+        # left on the interpreter's free lists, until each was built from a
+        # list (see the `packing` docstring). Each input is measured in a
+        # fresh interpreter, after an untraced run of the same input has
+        # filled the detector's draw cache; in one shared process, the
+        # first input measured read 40-100 B/frame more than later ones.
         code = (
             "import sys, tracemalloc\n"
             "from roipack.cli import main\n"
@@ -751,26 +768,43 @@ class TestRunMemory:
             "assert main(['run', ann, '--out', out]) == 0\n"
             "print(tracemalloc.get_traced_memory()[1])\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(roipack.__file__).parents[1])}
-
-        def traced_peak(ann):
-            done = subprocess.run(
-                [sys.executable, "-c", code, str(ann), str(tmp_path / "r.jsonl")],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert done.returncode == 0, done.stderr
-            return int(done.stdout.split()[-1])
-
-        inputs = {
-            "crowded": dict(min_objects="4", max_objects="8", occupancy="0.35"),
-            "road": {},
-        }
-        for name, flags in inputs.items():
+        out = tmp_path / "r.jsonl"
+        for name, flags in self.INPUTS.items():
             small = gen(tmp_path, f"{name}-5.jsonl", videos="5", frames="20", seed="7", **flags)
             large = gen(tmp_path, f"{name}-40.jsonl", videos="40", frames="20", seed="7", **flags)
-            per_frame = (traced_peak(large) - traced_peak(small)) / ((40 - 5) * 20)
-            # 101-160 B on Python 3.10-3.13 (160-188 B while `run` kept scores).
-            assert per_frame < 230, (name, per_frame)
+            growth = int(self.fresh_python(code, large, out)[-1]) - int(
+                self.fresh_python(code, small, out)[-1]
+            )
+            per_frame = growth / ((40 - 5) * 20)
+            # 30-61 B on Python 3.10-3.13; 114-138 B while per-frame tuples
+            # were built from generators, 160-188 B while `run` kept scores.
+            assert per_frame < 100, (name, per_frame)
+
+    def test_traced_memory_is_flat_between_videos(self, tmp_path):
+        # What `run`'s process holds as each video starts, from the tenth
+        # video of a 40-video input to the last: the growth is what it keeps
+        # per frame, a reference to each decision and each video's name.
+        code = (
+            "import sys, tracemalloc\n"
+            "from roipack import cli\n"
+            "ann, out = sys.argv[1:]\n"
+            "held, real_run_video = [], cli.run_video\n"
+            "def spy(*args, **kwargs):\n"
+            "    held.append(tracemalloc.get_traced_memory()[0])\n"
+            "    return real_run_video(*args, **kwargs)\n"
+            "cli.run_video = spy\n"
+            "tracemalloc.start()\n"
+            "assert cli.main(['run', ann, '--out', out]) == 0\n"
+            "print(len(held), held[-1] - held[10])\n"
+        )
+        for name, flags in self.INPUTS.items():
+            ann = gen(tmp_path, f"{name}.jsonl", videos="40", frames="20", seed="7", **flags)
+            videos, growth = map(int, self.fresh_python(code, ann, tmp_path / "r.jsonl")[-2:])
+            assert videos == 40
+            per_frame = growth / ((40 - 1 - 10) * 20)
+            # -2 to 15 B on Python 3.10-3.13; 68-142 B while per-frame tuples
+            # were built from generators and kept on the free lists.
+            assert per_frame < 30, (name, per_frame)
 
 
 class TestGarbageCollection:

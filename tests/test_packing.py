@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from allocation import blocks_left_by
 from oracles import _grow_interval as reference_grow_interval
 from oracles import brute_components, reference_merge_overlaps, reference_pack
 from roipack import packing
@@ -186,6 +187,12 @@ class TestChooseLayout:
     def test_rank_ties_broken_by_index(self):
         layout = choose_layout([Rect(0, 0, 30, 100), Rect(50, 0, 80, 100)])
         assert layout.groups == ((0,), (1,))
+
+    def test_repeated_calls_leave_no_blocks_behind(self):
+        # Three boxes give groups of one and two, the sizes whose free
+        # lists a tuple built from a generator fed.
+        boxes = [Rect(100, 0, 160, 70), Rect(0, 0, 80, 150), Rect(200, 0, 265, 75)]
+        assert blocks_left_by(lambda: choose_layout(boxes), 2000) < 50
 
     @pytest.mark.parametrize("count", [0, MAX_SLOTS + 1])
     def test_box_count_out_of_range(self, count):
@@ -632,6 +639,12 @@ class TestPack:
 
     def test_unpackable_cluster_returns_none(self):
         assert pack([Rect(0, 0, 200, 140)], SRC, DST) is None
+
+    def test_repeated_calls_leave_no_blocks_behind(self):
+        rois = [Rect(10, 10, 40, 50), Rect(200, 200, 230, 220), Rect(100, 20, 120, 60)]
+        plan = pack(rois, SRC, DST)
+        assert plan is not None and len(plan.slots) == 3
+        assert blocks_left_by(lambda: pack(rois, SRC, DST), 2000) < 50
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)

@@ -1,5 +1,6 @@
 import pytest
 
+from allocation import blocks_left_by
 from roipack.costmodel import CostParams, CostReport, DecisionKind, FrameDecision
 from roipack import packing
 from roipack.geometry import FrameSpec, Rect
@@ -210,6 +211,20 @@ class TestRunVideo:
         assert [r.index for r in run.records] == list(range(25))
         for i in range(1, 25):
             assert step(run.records[i - 1].detections, i, CFG, detector) == run.records[i]
+
+    def test_repeated_videos_leave_no_blocks_behind(self):
+        # TestRunMemory.test_live_objects_do_not_grow_with_the_run counts
+        # gc.get_objects(), and a tuple parked on a free list is on no gc
+        # list, so it could not see the tuples each video left there.
+        video = gen_synthetic(SyntheticParams(frames=20, seed=4))
+        noise = NoiseModel(seed=7)
+
+        def one_video():
+            return run_video(len(video), CFG, SimulatedDetector(video, noise))
+
+        kinds = {r.decision.kind for r in one_video().records}
+        assert {DecisionKind.PACKED, DecisionKind.FALLBACK_FULL} <= kinds
+        assert blocks_left_by(one_video, 500) < 50
 
     def test_cost_aggregation_uses_frame_sizes(self):
         run = run_video(10, CFG, ScriptedDetector())  # nothing ever detected

@@ -57,7 +57,7 @@ SAMPLES = {
     FullView: lambda: FullView(FrameSpec(300.0)),
     ReducedView: lambda: ReducedView(_plan()),
     FrameRecord: lambda: FrameRecord(3, FrameDecision.packed(), (), _plan()),
-    VideoRun: lambda: VideoRun((FrameRecord(0, FrameDecision.anchor(), ()),), _cost()),
+    VideoRun: lambda: VideoRun([FrameRecord(0, FrameDecision.anchor(), ())], _cost()),
 }
 
 

@@ -2,8 +2,9 @@
 imports, no import cycle is hidden behind TYPE_CHECKING, the package root
 re-exports nothing, no module imports a name it does not use, each run
 result and packing plan is built only by the module that defines it, the
-packer's fit test builds no rect, slot or plan, no command needs numpy,
-and no command loads a module it does not use."""
+packer's fit test builds no rect, slot or plan, no function builds a tuple
+from a generator, no command needs numpy, and no command loads a module it
+does not use."""
 
 import ast
 import os
@@ -180,3 +181,22 @@ def test_the_fit_test_builds_no_rect_slot_or_plan():
     }
     for name in ("place_and_fit", "_flush"):
         assert called_names(functions[name]) & {"Rect", "PackSlot", "PackPlan"} == set(), name
+
+
+def test_no_function_builds_a_tuple_from_a_generator():
+    # Why each tuple is built from a list: see the `packing` docstring.
+    # Import-time tables, outside any function, are built once.
+    found = set()
+    for name, tree in parsed_modules().items():
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found.update(
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "tuple"
+                    and node.args
+                    and isinstance(node.args[0], ast.GeneratorExp)
+                )
+    assert found == set()
