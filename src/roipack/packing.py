@@ -399,12 +399,16 @@ def _expand_axis(
             slack = dest_side - sum(extents)
 
     # The other axis does not move during this pass, so the slots that can
-    # block slot i are fixed: those overlapping it on the other axis.
+    # block slot i are fixed: those overlapping it on the other axis by more
+    # than _EPS. A collision's growth can round one ulp past the exact
+    # contact on the far edge, so two slots that grew toward each other on
+    # the last axis may overlap there by an ulp; that sliver must not freeze
+    # them on this axis, or a plan and its mirror image would differ.
     o_lo, o_hi = 1 - axis, 3 - axis
     blockers = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if src[i][o_lo] < src[j][o_hi] and src[j][o_lo] < src[i][o_hi]:
+            if src[i][o_lo] + _EPS < src[j][o_hi] and src[j][o_lo] + _EPS < src[i][o_hi]:
                 blockers[i].append(j)
                 blockers[j].append(i)
 

@@ -265,8 +265,8 @@ def _candidate_overlaps(
         if (
             lo < other[axis + 2]
             and other[axis] < hi
-            and o_lo < other[3 - axis]
-            and other[1 - axis] < o_hi
+            and o_lo + _EPS < other[3 - axis]
+            and other[1 - axis] + _EPS < o_hi
         ):
             return True
     return False
