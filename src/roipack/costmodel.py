@@ -8,8 +8,6 @@ attempt pays that overhead and then the full-frame cost on top.
 
 import math
 from enum import Enum
-from functools import reduce
-from operator import add
 from typing import Mapping, Sequence
 
 from ._record import frozen
@@ -109,12 +107,6 @@ def frame_cost(decision: FrameDecision, params: CostParams) -> float:
     raise ValueError(f"unknown decision kind: {kind!r}")
 
 
-def _frame_overhead(decision: FrameDecision, params: CostParams) -> float:
-    if decision.kind in (DecisionKind.PACKED, DecisionKind.FALLBACK_FULL):
-        return params.pack_overhead * params.flops_full
-    return 0.0
-
-
 @frozen
 class CostReport:
     """Aggregate cost of a run against the always-full-size baseline.
@@ -151,18 +143,22 @@ def aggregate(decisions: Sequence[FrameDecision], params: CostParams) -> CostRep
     """
     if not decisions:
         raise ValueError("aggregate() needs at least one decision")
-    # Folds left to right, not sum(): from Python 3.12 on, sum() of floats
+    # Adds left to right, not sum(): from Python 3.12 on, sum() of floats
     # is compensated and can change the last bit of the totals.
-    total = reduce(add, (frame_cost(d, params) for d in decisions), 0.0)
-    baseline = params.flops_full * len(decisions)
+    total = overhead = 0.0
+    pack_cost = params.pack_overhead * params.flops_full
     counts = {kind: 0 for kind in DecisionKind}
     for d in decisions:
-        counts[d.kind] += 1
+        kind = d.kind
+        total += frame_cost(d, params)
+        if kind is DecisionKind.PACKED or kind is DecisionKind.FALLBACK_FULL:
+            overhead += pack_cost
+        counts[kind] += 1
     n = len(decisions)
+    baseline = params.flops_full * n
     fractions = {kind.value: counts[kind] / n for kind in DecisionKind}
     reduction = 1.0 - total / baseline
     speedup = math.inf if reduction >= 1.0 else 1.0 / (1.0 - reduction)
-    overhead = reduce(add, (_frame_overhead(d, params) for d in decisions), 0.0)
     overhead_share = overhead / total if total > 0 else 0.0
     return CostReport(
         frames=n,

@@ -235,15 +235,10 @@ _PIPE_BYTES = 1 << 20  # pipe capacity asked for, so the producer seldom waits
 
 def _batches(items: Iterable) -> Iterator[list]:
     """Lists of up to _BATCH items, each taken as marshal bytes the moment
-    it is yielded. marshal takes only exact built-in types where json also
-    takes their subclasses, so an item marshal refuses is encoded here
-    instead, and json's own TypeError names what neither can encode."""
+    it is yielded; marshal's ValueError names an item it cannot carry."""
     batch = []
     for item in items:
-        try:
-            batch.append(marshal.dumps(item))
-        except ValueError:
-            batch.append(json.dumps(item) + "\n")
+        batch.append(marshal.dumps(item))
         if len(batch) == _BATCH:
             yield batch
             batch = []
@@ -251,25 +246,16 @@ def _batches(items: Iterable) -> Iterator[list]:
         yield batch
 
 
-class _Encoded(str):
-    """The JSON line `_batches` made of an item marshal refused."""
-
-
 def _encode(batches: Iterable[list], fh, lines=iter):
     """The encoder loop: one JSON line per record that `lines` makes of the
     items in `batches`; returns the value `lines` returns."""
-    items = (
-        _Encoded(item) if type(item) is str else marshal.loads(item)
-        for batch in batches
-        for item in batch
-    )
-    records = lines(items)
+    records = lines(marshal.loads(item) for batch in batches for item in batch)
     while True:
         try:
             record = next(records)
         except StopIteration as end:
             return end.value
-        fh.write(record if type(record) is _Encoded else json.dumps(record) + "\n")
+        fh.write(json.dumps(record) + "\n")
 
 
 def _send(pipe, message) -> bool:
@@ -373,13 +359,14 @@ def write_jsonl(path: str, items: Iterable, lines=iter):
     over them, encodes the records and writes the file while the caller
     goes on making the next items, and sends the value back as a marshal
     copy; where `os.fork` does not exist the same loop runs here. Items
-    cross as marshal copies; an item marshal refuses is encoded here, and
-    `lines` gets it as its JSON line, which is written as it is. A record
-    json cannot encode raises TypeError, a failure in the helper is raised
-    here as its exception's nearest built-in class, and any failure, in
-    either process, leaves neither a partial file nor the temporary one. No
-    command starts a thread, so the fork never meets Python 3.12's
-    DeprecationWarning about forking a process that has threads.
+    cross as marshal copies, so each must be built of exact built-in types
+    (`flat_frame`'s form is); an item marshal refuses raises its
+    ValueError. A record json cannot encode raises TypeError, a failure in
+    the helper is raised here as its exception's nearest built-in class,
+    and any failure, in either process, leaves neither a partial file nor
+    the temporary one. No command starts a thread, so the fork never meets
+    Python 3.12's DeprecationWarning about forking a process that has
+    threads.
     """
     with replacing(path) as fh:
         encode = _encode_in_child if hasattr(os, "fork") else _encode

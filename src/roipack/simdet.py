@@ -26,13 +26,16 @@ generator per detected object. The generator is `_pcg64`'s PCG64, started
 from the key as numpy's `default_rng(key)` starts, and the normals are two
 polar-method pairs drawn from its uniforms, so they are not numpy's.
 
-A full view reports every object, and it is the view most frames of a
-crowded run fall back to, so its loop reads the noise knobs and the frame
-once per call and computes each object's confidence and jittered, clipped
-box inline. Each min() and max() of `base_confidence` and `_jittered`
-becomes a conditional that keeps its argument order, so that ties (0.0
-against -0.0) resolve as the calls resolve them and the detections are
-bit-identical; the reduced view calls those helpers.
+Both views run one per-object loop. The view fixes, once per call, the
+clip side (the full frame's, or the plan's reduced frame's), the source
+frame's area and, for a reduced view, the slots and the margin-miss and
+scale-penalty knobs. Each object gets its confidence; in a reduced view
+also its covering slot, margin miss, mapping into the slot's dst and
+scale penalty; and one jitter and clip finishes it. Every min() and max()
+of the confidence and of the jitter's clip is written as a conditional
+that keeps the call's argument order, so ties (0.0 against -0.0) resolve
+as the calls resolve them and the detections are bit-identical to the
+plain min()/max() form.
 
 The generator emits square-frame videos whose per-video union occupancy is
 drawn from a sparse/heavy scene mixture averaging the requested mean;
@@ -127,30 +130,6 @@ class NoiseModel:
         return cls(seed=seed, loc_sigma=0.0, margin_miss=(0.0, 0.0), scale_penalty=1.0)
 
 
-def base_confidence(noise: NoiseModel, area_fraction: float) -> float:
-    intercept, gain = noise.base_conf
-    return min(1.0, max(0.0, intercept + gain * math.sqrt(max(0.0, area_fraction))))
-
-
-def _jittered(
-    rect: Rect, sigma_x: float, sigma_y: float, z: Sequence[float], bounds: Rect
-) -> Optional[Rect]:
-    """Perturb each edge, clip to bounds; None if the box collapses."""
-    if sigma_x == 0.0 and sigma_y == 0.0:
-        return rect
-    x0 = rect.x_min + sigma_x * z[0]
-    y0 = rect.y_min + sigma_y * z[1]
-    x1 = rect.x_max + sigma_x * z[2]
-    y1 = rect.y_max + sigma_y * z[3]
-    x0 = min(max(x0, bounds.x_min), bounds.x_max)
-    y0 = min(max(y0, bounds.y_min), bounds.y_max)
-    x1 = min(max(x1, bounds.x_min), bounds.x_max)
-    y1 = min(max(y1, bounds.y_min), bounds.y_max)
-    if x1 - x0 <= 1e-6 or y1 - y0 <= 1e-6:
-        return None
-    return Rect(x0, y0, x1, y1)
-
-
 def _context_margin(obj: Rect, slot_src: Rect, frame_side: float) -> float:
     """Smallest context margin the crop leaves around the object.
 
@@ -187,67 +166,56 @@ def oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[D
     (seed, frame_id, object index), which is valid because they depend on
     that key alone and not on the view or on the other noise knobs.
     """
-    out: list[Detection] = []
+    seed, frame_id, sigma = noise.seed, gt.frame_id, noise.loc_sigma
+    intercept, gain = noise.base_conf
     if isinstance(view, FullView):
-        # base_confidence and _jittered (clip bounds 0 and the side) written
-        # out with each min/max as the conditional that keeps its ties.
-        seed, frame_id, sigma = noise.seed, gt.frame_id, noise.loc_sigma
-        intercept, gain = noise.base_conf
-        side, frame_area = view.frame.side, view.frame.area
-        sqrt = math.sqrt
-        for idx, obj in enumerate(gt.objects):
-            z0, z1, z2, z3 = _detect_draws(seed, frame_id, idx)[0]
-            rect = obj.rect
-            x0, y0, x1, y1 = rect.x_min, rect.y_min, rect.x_max, rect.y_max
-            frac = (x1 - x0) * (y1 - y0) / frame_area
-            conf = intercept + gain * sqrt(frac if frac > 0.0 else 0.0)
-            conf = conf if conf > 0.0 else 0.0
-            conf = conf if conf < 1.0 else 1.0
-            if sigma != 0.0:
-                x0 += sigma * z0
-                y0 += sigma * z1
-                x1 += sigma * z2
-                y1 += sigma * z3
-                x0 = 0.0 if 0.0 > x0 else x0
-                x0 = side if side < x0 else x0
-                y0 = 0.0 if 0.0 > y0 else y0
-                y0 = side if side < y0 else y0
-                x1 = 0.0 if 0.0 > x1 else x1
-                x1 = side if side < x1 else x1
-                y1 = 0.0 if 0.0 > y1 else y1
-                y1 = side if side < y1 else y1
-                if x1 - x0 <= 1e-6 or y1 - y0 <= 1e-6:
-                    continue
-                rect = Rect(x0, y0, x1, y1)
-            out.append(Detection(rect, obj.class_id, conf))
-        return out
-
-    plan = view.plan
-    dest_bounds = plan.dest.bounds
-    margin_min, p_miss = noise.margin_miss
+        side, source_area, slots = view.frame.side, view.frame.area, None
+    else:
+        plan = view.plan
+        side, source_area, slots = plan.dest.side, plan.source.area, plan.slots
+        source_side, penalty = plan.source.side, noise.scale_penalty
+        margin_min, p_miss = noise.margin_miss
+    sigma_x = sigma_y = sigma
+    sqrt = math.sqrt
+    out: list[Detection] = []
     for idx, obj in enumerate(gt.objects):
-        z, u = _detect_draws(noise.seed, gt.frame_id, idx)
-        cx, cy = obj.rect.center
-        slot = _covering_slot(plan.slots, cx, cy)
-        if slot is None:
-            continue
-        if _context_margin(obj.rect, slot.src, plan.source.side) < margin_min and u < p_miss:
-            continue
-        visible = intersection(slot.to_dest(obj.rect), slot.dst)
-        if visible is None:
-            continue
-        deviation = abs(slot.scale_x - 1.0) + abs(slot.scale_y - 1.0)
-        conf = base_confidence(noise, obj.rect.area / plan.source.area)
-        conf *= noise.scale_penalty**deviation
-        rect = _jittered(
-            visible,
-            noise.loc_sigma * slot.scale_x,
-            noise.loc_sigma * slot.scale_y,
-            z,
-            dest_bounds,
-        )
-        if rect is not None:
-            out.append(Detection(rect, obj.class_id, conf))
+        (z0, z1, z2, z3), u = _detect_draws(seed, frame_id, idx)
+        rect = obj.rect
+        x0, y0, x1, y1 = rect.x_min, rect.y_min, rect.x_max, rect.y_max
+        frac = (x1 - x0) * (y1 - y0) / source_area
+        conf = intercept + gain * sqrt(frac if frac > 0.0 else 0.0)
+        conf = conf if conf > 0.0 else 0.0
+        conf = conf if conf < 1.0 else 1.0
+        if slots is not None:
+            slot = _covering_slot(slots, 0.5 * (x0 + x1), 0.5 * (y0 + y1))
+            if slot is None:
+                continue
+            if _context_margin(rect, slot.src, source_side) < margin_min and u < p_miss:
+                continue
+            rect = intersection(slot.to_dest(rect), slot.dst)
+            if rect is None:
+                continue
+            x0, y0, x1, y1 = rect.x_min, rect.y_min, rect.x_max, rect.y_max
+            scale_x, scale_y = slot.scale_x, slot.scale_y
+            conf *= penalty ** (abs(scale_x - 1.0) + abs(scale_y - 1.0))
+            sigma_x, sigma_y = sigma * scale_x, sigma * scale_y
+        if sigma_x != 0.0 or sigma_y != 0.0:
+            x0 += sigma_x * z0
+            y0 += sigma_y * z1
+            x1 += sigma_x * z2
+            y1 += sigma_y * z3
+            x0 = 0.0 if 0.0 > x0 else x0
+            x0 = side if side < x0 else x0
+            y0 = 0.0 if 0.0 > y0 else y0
+            y0 = side if side < y0 else y0
+            x1 = 0.0 if 0.0 > x1 else x1
+            x1 = side if side < x1 else x1
+            y1 = 0.0 if 0.0 > y1 else y1
+            y1 = side if side < y1 else y1
+            if x1 - x0 <= 1e-6 or y1 - y0 <= 1e-6:
+                continue
+            rect = Rect(x0, y0, x1, y1)
+        out.append(Detection(rect, obj.class_id, conf))
     return out
 
 

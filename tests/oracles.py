@@ -25,7 +25,11 @@ Likewise reference_oracle_detect is the simulated detector as it was before
 its per-object draws were memoized: it builds a fresh numpy generator for
 every object and draws its normals with reference_normal_pair, its own
 polar-method loop over numpy's uniforms, so it shares no code with the
-package's generator; the package must return equal detections. And
+package's generator. Its confidence, context margin, covering slot, clip
+to the slot's dst and jitter-and-clip are its own code of plain min() and
+max() calls, one path per view, where the package runs one loop of
+tie-keeping conditionals for both; the package must return equal
+detections. And
 reference_evaluate_detections is the evaluator as it was before scoring
 became one pass: it re-filters every detection and ground-truth box once per
 class, ranks them over all frames at once and builds a Rect per IoU, and the
@@ -42,7 +46,7 @@ import numpy as np
 from roipack.evaluation import EvalReport, Scores, match_frame, mean_average_precision
 from roipack.costmodel import FrameDecision
 from roipack.formats import AnnotationError, flat_frame
-from roipack.geometry import FrameSpec, Rect, intersection, iou
+from roipack.geometry import FrameSpec, Rect, iou
 from roipack.packing import (
     GROWTH_STEP,
     MAX_SLOTS,
@@ -55,14 +59,7 @@ from roipack.packing import (
     place_and_fit,
 )
 from roipack.pipeline import Detection, FrameRecord, FullView, GroundTruthFrame, GtObject, View
-from roipack.simdet import (
-    _STREAM_DETECT,
-    NoiseModel,
-    _context_margin,
-    _covering_slot,
-    _jittered,
-    base_confidence,
-)
+from roipack.simdet import _STREAM_DETECT, NoiseModel
 
 
 def raster_cover(rects, x0, y0, x1, y1, resolution=1000):
@@ -441,52 +438,100 @@ def reference_detect_draws(seed: int, frame_id: int, idx: int) -> tuple[tuple[fl
     return reference_normal_pair(rng) + reference_normal_pair(rng), rng.random()
 
 
+def _reference_confidence(noise: NoiseModel, area_fraction: float) -> float:
+    intercept, gain = noise.base_conf
+    return min(1.0, max(0.0, intercept + gain * math.sqrt(max(0.0, area_fraction))))
+
+
+def _reference_jittered(
+    rect: Rect, sigma_x: float, sigma_y: float, z: Sequence[float], side: float
+) -> Optional[Rect]:
+    """Perturb each edge, clip to [0, side]; None if the box collapses."""
+    if sigma_x == 0.0 and sigma_y == 0.0:
+        return rect
+    x0 = min(max(rect.x_min + sigma_x * z[0], 0.0), side)
+    y0 = min(max(rect.y_min + sigma_y * z[1], 0.0), side)
+    x1 = min(max(rect.x_max + sigma_x * z[2], 0.0), side)
+    y1 = min(max(rect.y_max + sigma_y * z[3], 0.0), side)
+    if x1 - x0 <= 1e-6 or y1 - y0 <= 1e-6:
+        return None
+    return Rect(x0, y0, x1, y1)
+
+
+def _reference_context_margin(obj: Rect, src: Rect, frame_side: float) -> float:
+    """Smallest margin the crop leaves on a side that does not reach the
+    frame boundary; infinite when every side does."""
+    margins = [
+        margin
+        for margin, bounded in (
+            (obj.x_min - src.x_min, src.x_min > 0.0),
+            (src.x_max - obj.x_max, src.x_max < frame_side),
+            (obj.y_min - src.y_min, src.y_min > 0.0),
+            (src.y_max - obj.y_max, src.y_max < frame_side),
+        )
+        if bounded
+    ]
+    return min(margins) if margins else math.inf
+
+
+def _reference_visible(obj: Rect, slot: PackSlot) -> Optional[Rect]:
+    """The object mapped into the slot's dst and clipped to it, or None."""
+    mapped, dst = slot.to_dest(obj), slot.dst
+    x0 = max(mapped.x_min, dst.x_min)
+    y0 = max(mapped.y_min, dst.y_min)
+    x1 = min(mapped.x_max, dst.x_max)
+    y1 = min(mapped.y_max, dst.y_max)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    return Rect(x0, y0, x1, y1)
+
+
 def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[Detection]:
     """Simulate detection of a frame's ground truth under a view.
 
     In a full view every object is reported. In a reduced view only objects
-    whose center falls inside some slot's src are visible; their boxes are
-    mapped through the slot transform and clipped to the slot's dst, and
-    the degradation knobs apply. Deterministic given (seed, frame, view).
-    Each object's draws come from `reference_detect_draws`, so this
-    reference shares no code with the detector's own draws.
+    whose center falls inside some slot's src are visible (the first such
+    slot sees them); their boxes are mapped through the slot transform and
+    clipped to the slot's dst, and the degradation knobs apply.
+    Deterministic given (seed, frame, view). Each object's draws come from
+    `reference_detect_draws`, and its confidence, margin, mapping and
+    jitter from the plain min()/max() helpers above, so this reference
+    shares no code with the detector.
     """
     out: list[Detection] = []
     if isinstance(view, FullView):
-        bounds = view.frame.bounds
         for idx, obj in enumerate(gt.objects):
             z, _ = reference_detect_draws(noise.seed, gt.frame_id, idx)
-            conf = base_confidence(noise, obj.rect.area / view.frame.area)
-            rect = _jittered(obj.rect, noise.loc_sigma, noise.loc_sigma, z, bounds)
+            conf = _reference_confidence(noise, obj.rect.area / view.frame.area)
+            sigma = noise.loc_sigma
+            rect = _reference_jittered(obj.rect, sigma, sigma, z, view.frame.side)
             if rect is not None:
                 out.append(Detection(rect, obj.class_id, conf))
         return out
 
     plan = view.plan
-    if plan.source is None:
-        raise ValueError("reduced view needs a plan with a source frame")
-    dest_bounds = plan.dest.bounds
     margin_min, p_miss = noise.margin_miss
     for idx, obj in enumerate(gt.objects):
         z, u = reference_detect_draws(noise.seed, gt.frame_id, idx)
         cx, cy = obj.rect.center
-        slot = _covering_slot(plan.slots, cx, cy)
+        slot = next((s for s in plan.slots if s.src.contains_point(cx, cy)), None)
         if slot is None:
             continue
-        if _context_margin(obj.rect, slot.src, plan.source.side) < margin_min and u < p_miss:
+        margin = _reference_context_margin(obj.rect, slot.src, plan.source.side)
+        if margin < margin_min and u < p_miss:
             continue
-        visible = intersection(slot.to_dest(obj.rect), slot.dst)
+        visible = _reference_visible(obj.rect, slot)
         if visible is None:
             continue
         deviation = abs(slot.scale_x - 1.0) + abs(slot.scale_y - 1.0)
-        conf = base_confidence(noise, obj.rect.area / plan.source.area)
+        conf = _reference_confidence(noise, obj.rect.area / plan.source.area)
         conf *= noise.scale_penalty**deviation
-        rect = _jittered(
+        rect = _reference_jittered(
             visible,
             noise.loc_sigma * slot.scale_x,
             noise.loc_sigma * slot.scale_y,
             z,
-            dest_bounds,
+            plan.dest.side,
         )
         if rect is not None:
             out.append(Detection(rect, obj.class_id, conf))

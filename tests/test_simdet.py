@@ -16,7 +16,6 @@ from roipack.simdet import (
     SimulatedDetector,
     SyntheticParams,
     _detect_draws,
-    base_confidence,
     gen_synthetic,
     oracle_detect,
 )
@@ -62,9 +61,13 @@ class TestNoiseModel:
             NoiseModel(**kwargs)
 
     def test_base_confidence_formula(self):
-        assert base_confidence(OFF, 0.04) == 0.55 + math.sqrt(0.04)
-        assert base_confidence(OFF, 1.0) == 1.0  # clipped
-        assert base_confidence(OFF, 0.0) == 0.55
+        rects = [
+            Rect(0.0, 0.0, 60.0, 60.0),  # area fraction 0.04
+            Rect(0.0, 0.0, 300.0, 300.0),  # 1.0, which the clip holds at 1
+            Rect(0.0, 0.0, 1e-15, 1e-15),  # about 1e-35: 0.55 + its root rounds to 0.55
+        ]
+        dets = oracle_detect(FullView(FRAME), gt_frame(0, rects), OFF)
+        assert [d.confidence for d in dets] == [0.55 + math.sqrt(0.04), 1.0, 0.55]
 
 
 class TestFullView:
@@ -234,6 +237,66 @@ def detection_bits(detections):
     ]
 
 
+EDGE_KNOBS = [
+    {"loc_sigma": 0.0},
+    {"loc_sigma": 1.0},
+    {"loc_sigma": 5e-324},  # jitter rounds to +-0.0: max/min ties at 0.0 and -0.0
+    {"loc_sigma": 400.0},
+    {"base_conf": (-3.0, 1.0)},  # clips at 0
+    {"base_conf": (0.0, 0.0)},  # exactly 0
+    {"base_conf": (-0.0, -0.0)},  # -0.0, which the clip makes 0.0
+    {"base_conf": (0.9, 5.0)},  # clips at 1
+    {"base_conf": (0.2, -1.0)},  # a negative gain
+]
+
+
+def edge_case_view(kind, frame):
+    """A view whose boxes clip at `frame`'s side: the full view, a one-slot
+    greedy plan mapping the whole frame onto itself, or a naive plan that
+    takes `frame`'s square from the top-left of a source twice its side and
+    halves x and keeps y, so that at loc_sigma=5e-324 the x sigma rounds to
+    0.0 and the y sigma does not."""
+    if kind == "full":
+        return FullView(frame)
+    whole, source = frame.bounds, frame
+    if kind == "identity":
+        slot, method = PackSlot(whole, whole, 1.0, 1.0), PackMethod.GREEDY
+    else:
+        half = Rect(0.0, 0.0, 0.5 * frame.side, frame.side)
+        slot, method = PackSlot(whole, half, 0.5, 1.0), PackMethod.NAIVE
+        source = FrameSpec(2 * frame.side)
+    return ReducedView(PackPlan(slots=(slot,), dest=frame, method=method, source=source))
+
+
+def check_edge_cases(kind, knobs, side):
+    frame = FrameSpec(side)
+    view = edge_case_view(kind, frame)
+    rects = [
+        Rect(0.0, 0.0, 40.0, 30.0),  # flush with the low edges
+        Rect(250.0, 260.0, 300.0, 300.0),  # flush with the high edges
+        Rect(-0.0, -0.0, 10.0, 10.0),
+        Rect(0.0, -0.0, 300.0, 300.0),  # the whole frame
+        Rect(120.0, 120.0, 120.0000005, 120.0000005),  # collapses under jitter
+        Rect(299.0, 0.0, 300.0, 1.0),  # a corner: large jitter clips it flat
+    ]
+    dropped = clipped_low = clipped_high = 0
+    for frame_id in range(40):
+        gt = gt_frame(frame_id, rects, classes=[0, 1, 2, 0, 1, 2])
+        noise = NoiseModel(seed=3, **knobs)
+        got = oracle_detect(view, gt, noise)
+        assert detection_bits(got) == detection_bits(reference_oracle_detect(view, gt, noise))
+        if kind == "identity":
+            # Equal, not bit-equal: the slot mapping turns -0.0 into 0.0.
+            assert got == oracle_detect(FullView(frame), gt, noise)
+        dropped += len(rects) - len(got)
+        coords = [v for d in got for v in (d.rect.x_min, d.rect.y_min, d.rect.x_max, d.rect.y_max)]
+        clipped_low += coords.count(0.0)
+        clipped_high += coords.count(side)
+    if knobs.get("loc_sigma", 1.0) >= 1.0:
+        # Both clips fired and some boxes collapsed below 1e-6.
+        assert dropped and clipped_low and clipped_high
+
+
 def _detect_cases():
     """(frame, views) over two videos that share frame ids.
 
@@ -299,46 +362,17 @@ class TestDetectMatchesReference:
         assert _detect_draws.cache_info().hits > 0
 
     @pytest.mark.parametrize("side", [300.0, 300])
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            {"loc_sigma": 0.0},
-            {"loc_sigma": 1.0},
-            {"loc_sigma": 5e-324},  # jitter rounds to +-0.0: max/min ties at 0.0 and -0.0
-            {"loc_sigma": 400.0},
-            {"base_conf": (-3.0, 1.0)},  # clips at 0
-            {"base_conf": (0.0, 0.0)},  # exactly 0
-            {"base_conf": (-0.0, -0.0)},  # -0.0, which the clip makes 0.0
-            {"base_conf": (0.9, 5.0)},  # clips at 1
-            {"base_conf": (0.2, -1.0)},  # a negative gain
-        ],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("knobs", EDGE_KNOBS, ids=repr)
     def test_full_view_edge_cases(self, knobs, side):
-        frame = FrameSpec(side)
-        rects = [
-            Rect(0.0, 0.0, 40.0, 30.0),  # flush with the low edges
-            Rect(250.0, 260.0, 300.0, 300.0),  # flush with the high edges
-            Rect(-0.0, -0.0, 10.0, 10.0),
-            Rect(0.0, -0.0, 300.0, 300.0),  # the whole frame
-            Rect(120.0, 120.0, 120.0000005, 120.0000005),  # collapses under jitter
-            Rect(299.0, 0.0, 300.0, 1.0),  # a corner: large jitter clips it flat
-        ]
-        dropped = clipped_low = clipped_high = 0
-        for frame_id in range(40):
-            gt = gt_frame(frame_id, rects, classes=[0, 1, 2, 0, 1, 2])
-            noise = NoiseModel(seed=3, **knobs)
-            got = oracle_detect(FullView(frame), gt, noise)
-            assert detection_bits(got) == detection_bits(
-                reference_oracle_detect(FullView(frame), gt, noise)
-            )
-            dropped += len(rects) - len(got)
-            coords = [v for d in got for v in (d.rect.x_min, d.rect.y_min, d.rect.x_max, d.rect.y_max)]
-            clipped_low += coords.count(0.0)
-            clipped_high += coords.count(side)
-        if knobs.get("loc_sigma", 1.0) >= 1.0:
-            # Both clips fired and some boxes collapsed below 1e-6.
-            assert dropped and clipped_low and clipped_high
+        check_edge_cases("full", knobs, side)
+
+    # The same cases through the reduced view's slot mapping and dst clip.
+    # A separate test keeps the full view's ids as they were.
+    @pytest.mark.parametrize("view", ["identity", "naive"])
+    @pytest.mark.parametrize("side", [300.0, 300])
+    @pytest.mark.parametrize("knobs", EDGE_KNOBS, ids=repr)
+    def test_reduced_view_edge_cases(self, knobs, side, view):
+        check_edge_cases(view, knobs, side)
 
     def test_cache_stays_bounded(self):
         _detect_draws.cache_clear()
