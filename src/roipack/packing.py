@@ -179,14 +179,17 @@ def merge_overlaps(rects: Sequence[Rect]) -> list[Rect]:
     component merge repeats until a round leaves the box count unchanged.
     Each round keeps the components' order and their members' order, which
     decides which of two equal coordinates (0.0 and -0.0) a merged box
-    keeps.
+    keeps; a box that overlaps nothing is kept as it is.
     """
     boxes = list(rects)
     while True:
         comps = connected_components(boxes)
         if len(comps) == len(boxes):
             return boxes
-        boxes = [enclosing([boxes[i] for i in comp]) for comp in comps]
+        boxes = [
+            boxes[comp[0]] if len(comp) == 1 else enclosing([boxes[i] for i in comp])
+            for comp in comps
+        ]
 
 
 # Box count -> the size ranks in each group; ranks 2 and 3 stack under 0 and 1.
@@ -364,6 +367,21 @@ def _expand_axis(
         growing intervals.
     """
     n = len(src)
+    if n == 1:
+        # A lone slot's headroom is dest_side less its size, as the group
+        # bookkeeping below works it out, and nothing blocks it: it jumps
+        # by all it is allowed until that is used up.
+        s = src[0]
+        lo, hi = s[axis], s[axis + 2]
+        while True:
+            allowed = dest_side - (hi - lo)
+            room = lo + (src_side - hi)
+            if room < allowed:
+                allowed = room
+            if allowed <= _EPS:
+                s[axis], s[axis + 2] = lo, hi
+                return
+            lo, hi = _grow_interval(lo, hi, allowed, src_side)
     groups = layout.groups
     group_of = [0] * n
     for g, members in enumerate(groups):

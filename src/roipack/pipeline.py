@@ -16,7 +16,7 @@ from typing import Callable, Optional, Protocol, Sequence, Union
 
 from ._record import frozen
 from .costmodel import CostParams, CostReport, DecisionKind, FrameDecision, aggregate
-from .geometry import FrameSpec, Rect, intersection
+from .geometry import FrameSpec, Rect
 from .packing import PackPlan, pack
 
 Packer = Callable[[Sequence[Rect], FrameSpec, FrameSpec], Optional[PackPlan]]
@@ -111,25 +111,57 @@ def map_back(detections: Sequence[Detection], plan: PackPlan) -> list[Detection]
     """Translate reduced-frame detections into source-frame coordinates.
 
     Each detection is assigned to the slot whose dst it overlaps most (a
-    detection straddling slots follows the greatest overlap), inverted
-    through that slot's transform and clipped to the slot's src. Detections
-    overlapping no slot are dropped.
+    detection straddling slots follows the greatest overlap, a tie the
+    first slot), inverted through that slot's transform (`to_source`) and
+    clipped to the slot's src. Detections overlapping no slot, or mapping
+    to nothing inside it, are dropped.
+
+    The overlaps, the mapping and the clip are the floats of
+    `intersection(...).area`, `to_source` and `intersection`, with each
+    max() and min() written as a conditional that keeps the call's tie
+    order; only a kept detection's Rect is built.
     """
     out = []
     for det in detections:
+        rect = det.rect
+        x0, y0, x1, y1 = rect.x_min, rect.y_min, rect.x_max, rect.y_max
         best = None
         best_area = 0.0
         for slot in plan.slots:
-            inter = intersection(det.rect, slot.dst)
-            if inter is not None and inter.area > best_area:
-                best, best_area = slot, inter.area
+            dst = slot.dst
+            v = dst.x_min
+            ix0 = v if v > x0 else x0
+            v = dst.x_max
+            ix1 = v if v < x1 else x1
+            if ix0 >= ix1:
+                continue
+            v = dst.y_min
+            iy0 = v if v > y0 else y0
+            v = dst.y_max
+            iy1 = v if v < y1 else y1
+            if iy0 >= iy1:
+                continue
+            area = (ix1 - ix0) * (iy1 - iy0)
+            if area > best_area:
+                best, best_area = slot, area
         if best is None:
             continue
-        mapped = best.to_source(det.rect)
-        clipped = intersection(mapped, best.src)
-        if clipped is None:
+        src, dst = best.src, best.dst
+        sx0, sy0, sx1, sy1 = src.x_min, src.y_min, src.x_max, src.y_max
+        dx, dy = dst.x_min, dst.y_min
+        mx0 = sx0 + (x0 - dx) / best.scale_x
+        mx0 = sx0 if sx0 > mx0 else mx0
+        mx1 = sx0 + (x1 - dx) / best.scale_x
+        mx1 = sx1 if sx1 < mx1 else mx1
+        if mx0 >= mx1:
             continue
-        out.append(Detection(clipped, det.class_id, det.confidence))
+        my0 = sy0 + (y0 - dy) / best.scale_y
+        my0 = sy0 if sy0 > my0 else my0
+        my1 = sy0 + (y1 - dy) / best.scale_y
+        my1 = sy1 if sy1 < my1 else my1
+        if my0 >= my1:
+            continue
+        out.append(Detection(Rect(mx0, my0, mx1, my1), det.class_id, det.confidence))
     return out
 
 

@@ -28,8 +28,13 @@ polar-method loop over numpy's uniforms, so it shares no code with the
 package's generator. Its confidence, context margin, covering slot, clip
 to the slot's dst and jitter-and-clip are its own code of plain min() and
 max() calls, one path per view, where the package runs one loop of
-tie-keeping conditionals for both; the package must return equal
-detections. And
+tie-keeping conditionals for both; it maps an object into its slot's dst
+with its own arithmetic, not through PackSlot.to_dest, so a box that maps
+to nothing is dropped rather than raising; the package must return equal
+detections. Likewise reference_map_back picks a detection's slot by max()
+of (overlap, -index) keys and maps and clips it with min() and max()
+calls, where map_back keeps running maxima in conditionals; the two must
+agree bit for bit. And
 reference_evaluate_detections is the evaluator as it was before scoring
 became one pass: it re-filters every detection and ground-truth box once per
 class, ranks them over all frames at once and builds a Rect per IoU, and the
@@ -475,12 +480,13 @@ def _reference_context_margin(obj: Rect, src: Rect, frame_side: float) -> float:
 
 
 def _reference_visible(obj: Rect, slot: PackSlot) -> Optional[Rect]:
-    """The object mapped into the slot's dst and clipped to it, or None."""
-    mapped, dst = slot.to_dest(obj), slot.dst
-    x0 = max(mapped.x_min, dst.x_min)
-    y0 = max(mapped.y_min, dst.y_min)
-    x1 = min(mapped.x_max, dst.x_max)
-    y1 = min(mapped.y_max, dst.y_max)
+    """The object mapped into the slot's dst and clipped to it, or None
+    when nothing is left, as for a box narrower than an ulp of the dst."""
+    src, dst = slot.src, slot.dst
+    x0 = max(dst.x_min + (obj.x_min - src.x_min) * slot.scale_x, dst.x_min)
+    y0 = max(dst.y_min + (obj.y_min - src.y_min) * slot.scale_y, dst.y_min)
+    x1 = min(dst.x_min + (obj.x_max - src.x_min) * slot.scale_x, dst.x_max)
+    y1 = min(dst.y_min + (obj.y_max - src.y_min) * slot.scale_y, dst.y_max)
     if x0 >= x1 or y0 >= y1:
         return None
     return Rect(x0, y0, x1, y1)
@@ -536,6 +542,53 @@ def reference_oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel)
         if rect is not None:
             out.append(Detection(rect, obj.class_id, conf))
     return out
+
+
+def reference_map_back(detections: Sequence[Detection], plan: PackPlan) -> list[Detection]:
+    """Reduced-frame detections mapped into the source frame.
+
+    Every slot's overlap with the detection is keyed (area, -slot index),
+    and max() of the keys picks the slot, so the greatest overlap wins and
+    a tie goes to the first slot; a detection whose best overlap is not
+    positive is dropped. The box is divided back through that slot's
+    scale, clipped to its src with min() and max(), and dropped if
+    nothing is left.
+    """
+    out = []
+    for det in detections:
+        r = det.rect
+        keys = []
+        for index, slot in enumerate(plan.slots):
+            d = slot.dst
+            w = min(r.x_max, d.x_max) - max(r.x_min, d.x_min)
+            h = min(r.y_max, d.y_max) - max(r.y_min, d.y_min)
+            keys.append((w * h if w > 0.0 and h > 0.0 else 0.0, -index))
+        area, minus_index = max(keys)
+        if area <= 0.0:
+            continue
+        slot = plan.slots[-minus_index]
+        src, dst = slot.src, slot.dst
+        x0 = max(src.x_min + (r.x_min - dst.x_min) / slot.scale_x, src.x_min)
+        y0 = max(src.y_min + (r.y_min - dst.y_min) / slot.scale_y, src.y_min)
+        x1 = min(src.x_min + (r.x_max - dst.x_min) / slot.scale_x, src.x_max)
+        y1 = min(src.y_min + (r.y_max - dst.y_min) / slot.scale_y, src.y_max)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        out.append(Detection(Rect(x0, y0, x1, y1), det.class_id, det.confidence))
+    return out
+
+
+def detection_bits(detections):
+    """Not an oracle: each detection's exact floats, sign of zero included,
+    for comparing detections bit for bit."""
+    return [
+        (
+            tuple(float(v).hex() for v in (d.rect.x_min, d.rect.y_min, d.rect.x_max, d.rect.y_max)),
+            d.class_id,
+            float(d.confidence).hex(),
+        )
+        for d in detections
+    ]
 
 
 FrameKey = Hashable

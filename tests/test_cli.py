@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import inspect
 import json
 import math
@@ -133,6 +134,37 @@ class TestRun:
         assert self.run(ann, out, "--noise-profile", "off") == 0
         summary = json.loads((tmp_path / "clean.summary.json").read_text())
         assert summary["evaluation"]["mAP"] == 1.0
+
+    def test_a_box_narrower_than_an_ulp_of_its_slot_is_dropped(self, tmp_path):
+        # Object 0 is one ulp wide at x = 10 px. Packed, its slot's dst sits
+        # near x = 140 px, where an ulp is wider than the box, so it maps
+        # to nothing and is dropped; it used to fail the run with
+        # "degenerate rect".
+        x0 = 10 / 300
+        objects = [
+            {"class": 0, "x0": x0, "y0": 0.3, "x1": math.nextafter(x0, 1), "y1": 0.31},
+            {"class": 1, "x0": 0.55, "y0": 0.5, "x1": 0.95, "y1": 0.9},
+        ]
+        ann = tmp_path / "sliver.jsonl"
+        ann.write_text("".join(
+            json.dumps({"video": "v0000", "frame": f, "objects": objects}) + "\n"
+            for f in range(10)
+        ))
+        out = tmp_path / "r.jsonl"
+        assert self.run(ann, out, "--noise-profile", "off") == 0
+        seen = {}
+        for line in out.read_text().splitlines():
+            record = json.loads(line)
+            seen[record["frame"]] = (record["decision"], [d["class"] for d in record["detections"]])
+        assert seen == {
+            f: ("anchor", [0, 1]) if f % 5 == 0 else ("packed", [1]) for f in range(10)
+        }
+        # The naive packer's scaled slots keep the box; its bytes are unchanged.
+        naive = tmp_path / "n.jsonl"
+        assert self.run(ann, naive, "--noise-profile", "off", "--mode", "naive") == 0
+        assert hashlib.sha256(naive.read_bytes()).hexdigest() == (
+            "4f01e1de8466560462b56a2bf53995483dc8b20420c30c91b0dc7fd29cf107ea"
+        )
 
     def test_same_flags_are_byte_identical(self, tmp_path):
         ann = gen(tmp_path)

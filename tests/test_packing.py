@@ -58,6 +58,11 @@ class TestMergeOverlaps:
         boxes = [Rect(0, 0, 1, 1), Rect(2, 2, 3, 3), Rect(5, 0, 6, 1)]
         assert merge_overlaps(boxes) == boxes
 
+    def test_a_box_that_overlaps_nothing_is_kept_as_it_is(self):
+        lone = Rect(3, 3, 4, 4)
+        merged = merge_overlaps([Rect(0, 0, 1, 1), Rect(0.5, 0.5, 1.5, 1.5), lone])
+        assert merged[1] is lone
+
     def test_empty(self):
         assert merge_overlaps([]) == []
 
@@ -449,6 +454,58 @@ class TestExpandMatchesReference:
         plan = pack(boxes, SRC, DST)
         assert plan == reference_pack(boxes, SRC, DST)
         assert plan.slots[1].src == Rect(3.999999999999986, 70.0, 150.0, 142.0)
+
+
+def plan_bits(plan):
+    """Each slot's src and dst as exact floats, sign of zero included."""
+    return [
+        tuple(float(v).hex() for r in (s.src, s.dst) for v in (r.x_min, r.y_min, r.x_max, r.y_max))
+        for s in plan.slots
+    ]
+
+
+class TestLoneSlotMatchesReference:
+    """A lone slot grows by its own loop, without the group, blocker and
+    quiet-round bookkeeping; its plans must equal the unit-round
+    reference's to the last bit."""
+
+    @pytest.mark.parametrize(
+        "rois",
+        [
+            [Rect(0, 100, 40, 140)],  # pinned at the left edge
+            [Rect(260, 100, 300, 140)],  # the right edge
+            [Rect(100, 0, 140, 40)],  # the top edge
+            [Rect(100, 260, 140, 300)],  # the bottom edge
+            [Rect(0, 0, 40, 30)],  # a corner
+            [Rect(10, 10, 50, 50), Rect(40, 40, 80, 80)],  # one box once merged
+        ],
+    )
+    @pytest.mark.parametrize("side", [150.0, 149.7])
+    def test_edges_and_merged(self, rois, side):
+        dest = FrameSpec(side)
+        plan = pack(rois, SRC, dest)
+        assert len(plan.slots) == 1
+        assert plan_bits(plan) == plan_bits(reference_pack(rois, SRC, dest))
+
+    def test_box_as_wide_as_the_dest_grows_only_in_height(self):
+        rois = [Rect(75, 100, 225, 130)]
+        plan = pack(rois, SRC, DST)
+        assert plan.slots[0].src == Rect(75, 40, 225, 190)
+        assert plan_bits(plan) == plan_bits(reference_pack(rois, SRC, DST))
+
+    def test_a_first_jump_that_leaves_headroom_jumps_again(self):
+        # At a source side of 2**24 an ulp of the grown edges is ~1.9e-9,
+        # so the first jump's rounding leaves more than _EPS to take.
+        source, dest = FrameSpec(2.0**24), FrameSpec(2.0**23)
+        lo, hi = 2902305.6, 10952185.8
+        allowed = min(dest.side - (hi - lo), lo + (source.side - hi))
+        grown_lo, grown_hi = packing._grow_interval(lo, hi, allowed, source.side)
+        assert dest.side - (grown_hi - grown_lo) > packing._EPS
+        assert grown_lo + (source.side - grown_hi) > packing._EPS
+        rois = [Rect(lo, 100.0, hi, 200.0)]
+        plan = pack(rois, source, dest)
+        assert plan.slots[0].src.width > grown_hi - grown_lo
+        assert plan_bits(plan) == plan_bits(reference_pack(rois, source, dest))
 
 
 def rois_at_side(rng, side, n):

@@ -1,10 +1,15 @@
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from allocation import blocks_left_by
+from oracles import detection_bits, reference_map_back
 from roipack.costmodel import CostParams, CostReport, DecisionKind, FrameDecision
 from roipack import packing
 from roipack.geometry import FrameSpec, Rect
-from roipack.packing import pack
+from roipack.packing import PackMethod, PackPlan, PackSlot, pack, pack_naive
 from roipack.pipeline import (
     Detection,
     FrameRecord,
@@ -124,6 +129,110 @@ class TestMapBack:
         plan = pack([Rect(0, 0, 80, 60)], CFG.s1, CFG.s2)
         out = map_back([det(1, 2, 3, 4, conf=0.42, cls=7)], plan)
         assert out[0].class_id == 7 and out[0].confidence == 0.42
+
+
+# (source side, reduced side): the defaults, an inexact reduced side, and
+# the largest side the command line accepts, where an ulp is ~7e-12 px.
+SIDES = [(300.0, 150.0), (300.0, 149.7), (65536.0, 32768.0)]
+
+
+@st.composite
+def plans(draw):
+    """A greedy or a naive (scaled) plan of 1..4 ROIs."""
+    source, dest = map(FrameSpec, draw(st.sampled_from(SIDES)))
+    side = source.side
+    rois = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.floats(side / 600, side / 6))
+        h = draw(st.floats(side / 600, side / 6))
+        x0 = draw(st.floats(0.0, side - w))
+        y0 = draw(st.floats(0.0, side - h))
+        rois.append(Rect(x0, y0, min(x0 + w, side), min(y0 + h, side)))
+    packer = draw(st.sampled_from([pack, pack_naive]))
+    plan = packer(rois, source, dest)
+    if plan is None:  # greedy fallback: a naive plan of the same ROIs
+        plan = pack_naive(rois, source, dest)
+    return plan
+
+
+@st.composite
+def reduced_detections(draw, plan):
+    """Detections in the reduced frame: anywhere, centred on an edge
+    shared by two slots (equal overlaps when the slots span the same
+    rows), or narrower than an ulp at the frame's far end."""
+    side = plan.dest.side
+    kind = draw(st.sampled_from(["anywhere", "straddle", "sliver"]))
+    slot = draw(st.sampled_from(plan.slots)).dst
+    if kind == "anywhere":
+        x0, y0 = draw(st.floats(-1.0, side)), draw(st.floats(-1.0, side))
+        x1 = x0 + draw(st.floats(1e-3, side / 2))
+        y1 = y0 + draw(st.floats(1e-3, side / 2))
+    elif kind == "straddle":
+        edge = slot.x_max
+        half = draw(st.sampled_from([0.5, 1.0, 2.25, 10.0]))
+        x0, x1 = edge - half, edge + half
+        y0 = draw(st.floats(slot.y_min, slot.y_max - 1e-3))
+        y1 = draw(st.floats(y0 + 1e-3, slot.y_max))
+    else:
+        x0 = draw(st.floats(0.5 * side, side))
+        x1 = math.nextafter(x0, math.inf)
+        y0 = draw(st.floats(slot.y_min, slot.y_max - 1e-3))
+        y1 = y0 + draw(st.sampled_from([math.ulp(y0), 1e-3, 5.0]))
+    conf = draw(st.floats(0.0, 1.0))
+    return Detection(Rect(x0, y0, x1, y1), draw(st.integers(0, 3)), conf)
+
+
+@st.composite
+def plans_and_detections(draw):
+    plan = draw(plans())
+    return plan, draw(st.lists(reduced_detections(plan), min_size=1, max_size=6))
+
+
+def naive_pair(side):
+    """A naive plan of two ROIs: dst cells split at side / 2, full height."""
+    rois = [Rect(0, 0, 40, 40), Rect(200, 200, 260, 280)]
+    return pack_naive(rois, FrameSpec(300.0), FrameSpec(side))
+
+
+class TestMapBackMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(plans_and_detections())
+    @example(
+        (naive_pair(150.0), [det(70, 10, 80, 20), det(74.5, 0, 75.5, 150, conf=0.5, cls=1)])
+    )
+    @example((naive_pair(149.7), [det(70, 10, 79.7, 20), det(74.85, 3, 74.85000000000002, 4)]))
+    def test_bit_identical(self, case):
+        plan, detections = case
+        got = map_back(detections, plan)
+        assert detection_bits(got) == detection_bits(reference_map_back(detections, plan))
+
+    @pytest.mark.parametrize("side", [150.0, 149.7])
+    def test_tied_overlaps_go_to_the_first_slot(self, side):
+        plan = naive_pair(side)
+        half = 0.5 * side
+        dets = [det(half - 2.0, 10, half + 2.0, 20)]
+        first, second = plan.slots[0].dst, plan.slots[1].dst
+        assert first.x_max == second.x_min == half
+        # Equal overlap widths, so the areas tie.
+        assert half - (half - 2.0) == (half + 2.0) - half
+        (got,) = map_back(dets, plan)
+        assert got.rect.x_max == plan.slots[0].src.x_max
+        assert detection_bits([got]) == detection_bits(reference_map_back(dets, plan))
+
+    def test_a_box_mapping_to_nothing_is_dropped(self):
+        # A greedy slot translating dst x ~1 to src x ~65000: a box one ulp
+        # wide at x ~1 is far narrower than an ulp at 65000.
+        src, dst = Rect(65000.0, 0.0, 65100.0, 100.0), Rect(0.0, 0.0, 100.0, 100.0)
+        plan = PackPlan(
+            slots=(PackSlot(src, dst, 1.0, 1.0),),
+            dest=FrameSpec(32768.0),
+            method=PackMethod.GREEDY,
+            source=FrameSpec(65536.0),
+        )
+        sliver = det(1.0, 1.0, math.nextafter(1.0, 2.0), 2.0)
+        wide = det(1.0, 1.0, 3.0, 2.0)
+        assert map_back([sliver, wide], plan) == [det(65001.0, 1.0, 65003.0, 2.0)]
+        assert reference_map_back([sliver, wide], plan) == map_back([sliver, wide], plan)
 
 
 class TestStep:

@@ -4,7 +4,12 @@ import time
 
 import numpy as np
 import pytest
-from oracles import reference_detect_draws, reference_normal_pair, reference_oracle_detect
+from oracles import (
+    detection_bits,
+    reference_detect_draws,
+    reference_normal_pair,
+    reference_oracle_detect,
+)
 
 from roipack._pcg64 import _PCG_MULT, PCG64
 from roipack.geometry import FrameSpec, Rect, union_area
@@ -143,6 +148,19 @@ class TestReducedView:
         # Visible part is the slot's portion of the box.
         assert dets[0].rect == Rect(50, 50, 100, 100)
 
+    @pytest.mark.parametrize("loc_sigma", [0.0, 1.0])
+    def test_box_narrower_than_an_ulp_of_its_dst_is_dropped(self, loc_sigma):
+        # One ulp wide at x = 10, mapped to x = 60, where an ulp is wider.
+        plan = slot_plan(Rect(0, 0, 100, 150), Rect(50, 0, 150, 150))
+        sliver = Rect(10.0, 90.0, math.nextafter(10.0, 11.0), 93.0)
+        gt = gt_frame(0, [sliver, Rect(20, 20, 60, 60)], classes=[0, 1])
+        noise = NoiseModel(loc_sigma=loc_sigma, margin_miss=(0.0, 0.0))
+        dets = oracle_detect(ReducedView(plan), gt, noise)
+        assert [d.class_id for d in dets] == [1]
+        assert detection_bits(dets) == detection_bits(
+            reference_oracle_detect(ReducedView(plan), gt, noise)
+        )
+
     def test_plan_without_source_rejected(self):
         slot = PackSlot(src=Rect(0, 0, 100, 100), dst=Rect(0, 0, 100, 100),
                         scale_x=1.0, scale_y=1.0)
@@ -223,18 +241,6 @@ class TestSimulatedDetector:
             detector.detect(1, FullView(FRAME))
         with pytest.raises(IndexError):
             detector.detect(-1, FullView(FRAME))
-
-
-def detection_bits(detections):
-    """Each detection's exact floats, sign of zero included."""
-    return [
-        (
-            tuple(float(v).hex() for v in (d.rect.x_min, d.rect.y_min, d.rect.x_max, d.rect.y_max)),
-            d.class_id,
-            float(d.confidence).hex(),
-        )
-        for d in detections
-    ]
 
 
 EDGE_KNOBS = [
