@@ -179,17 +179,14 @@ def merge_overlaps(rects: Sequence[Rect]) -> list[Rect]:
     component merge repeats until a round leaves the box count unchanged.
     Each round keeps the components' order and their members' order, which
     decides which of two equal coordinates (0.0 and -0.0) a merged box
-    keeps; a box that overlaps nothing is kept as it is.
+    keeps.
     """
     boxes = list(rects)
     while True:
         comps = connected_components(boxes)
         if len(comps) == len(boxes):
             return boxes
-        boxes = [
-            boxes[comp[0]] if len(comp) == 1 else enclosing([boxes[i] for i in comp])
-            for comp in comps
-        ]
+        boxes = [enclosing([boxes[i] for i in comp]) for comp in comps]
 
 
 # Box count -> the size ranks in each group; ranks 2 and 3 stack under 0 and 1.
