@@ -3,15 +3,14 @@
 Scoring has two steps. `match_frame` matches one frame as soon as it has
 run: its detections, highest confidence first (a stable sort keeps input
 order among ties), each take the highest-IoU still-unmatched ground-truth
-box of their class in that frame, and a match needs at least the IoU
-threshold. IoU is computed inline with the float operations of
-`geometry.iou`. It returns one (class, confidence, hit) per detection and
-the frame's ground-truth count per class, and `Scores` appends those to
-per-class columns: the confidences as doubles, the hits as bytes, and the
-ground-truth count. `evaluate_detections` then ranks each class's
-detections over all frames by (descending confidence, frame position, rank
-within the frame) and integrates the precision envelope over all recall
-points.
+box of their class in that frame (`geometry.box_iou`), and a match needs
+at least the IoU threshold. It returns one (class, confidence, hit) per
+detection and the frame's ground-truth count per class, and `Scores`
+appends those to per-class columns: the confidences as doubles, the hits
+as bytes, and the ground-truth count. `evaluate_detections` then ranks
+each class's detections over all frames by (descending confidence, frame
+position, rank within the frame) and integrates the precision envelope
+over all recall points.
 
 This is exactly greedy matching over the global ranking (descending
 confidence, then frame key, then input order). A match removes a box only
@@ -27,6 +26,7 @@ from operator import add, itemgetter
 from typing import Iterable, Mapping, Optional
 
 from ._record import frozen
+from .geometry import box_iou
 
 # One frame's detections as (class_id, confidence, hit), highest confidence
 # first, and its ground-truth count per class.
@@ -52,19 +52,10 @@ def match_frame(frame: tuple, iou_threshold: float = 0.5) -> FrameMatch:
         boxes = boxes_by_class.get(class_id)
         if boxes:
             ax0, ay0, ax1, ay1 = box
-            area_a = (ax1 - ax0) * (ay1 - ay0)
             best_iou = 0.0
             best_idx = -1
             for gt_idx, (bx0, by0, bx1, by1) in enumerate(boxes):
-                # iou(det, gt): max/min keep their first argument on a tie.
-                x_min = bx0 if bx0 > ax0 else ax0
-                y_min = by0 if by0 > ay0 else ay0
-                x_max = bx1 if bx1 < ax1 else ax1
-                y_max = by1 if by1 < ay1 else ay1
-                if x_min >= x_max or y_min >= y_max:
-                    continue
-                inter_area = (x_max - x_min) * (y_max - y_min)
-                overlap = inter_area / (area_a + (bx1 - bx0) * (by1 - by0) - inter_area)
+                overlap = box_iou(ax0, ay0, ax1, ay1, bx0, by0, bx1, by1)
                 if overlap > best_iou:
                     best_iou, best_idx = overlap, gt_idx
             if best_idx >= 0 and best_iou >= iou_threshold:

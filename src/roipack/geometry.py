@@ -4,6 +4,17 @@ Coordinates are real-valued pixels with the origin at the top-left corner:
 x grows rightward and y grows downward. Contact along a shared edge or
 corner has zero area and does not count as an intersection, so boxes may
 touch without overlapping.
+
+The box arithmetic that runs per object and per detection has one home
+here, on plain floats, so its callers build no Rect until they keep a box:
+`clip_box` is the strict overlap of box a with box b, and `box_iou` their
+intersection-over-union. Each bound of an overlap is max() or min() of a's
+and b's value, in that order, so a tie (0.0 against -0.0) keeps a's. A
+union whose area is 0.0 (two boxes whose areas underflow) has IoU 0.0.
+`box_iou` computes its overlap itself rather than through `clip_box`:
+scoring calls it once per (detection, object) pair. The map of a box into
+and out of a packed slot is `packing.PackSlot`'s. The Rect-level
+`intersects`, `intersection` and `iou` wrap these kernels.
 """
 
 import math
@@ -90,34 +101,56 @@ class FrameSpec:
         return Rect(0.0, 0.0, self.side, self.side)
 
 
+def clip_box(
+    ax0: float, ay0: float, ax1: float, ay1: float,
+    bx0: float, by0: float, bx1: float, by1: float,
+) -> Optional[tuple[float, float, float, float]]:
+    """Strict overlap of box a with box b as (x0, y0, x1, y1), or None when
+    they only touch or are apart. Conditionals stand for max() and min() of
+    (a, b), which keep a's value on a tie."""
+    x0 = bx0 if bx0 > ax0 else ax0
+    x1 = bx1 if bx1 < ax1 else ax1
+    if x0 >= x1:
+        return None
+    y0 = by0 if by0 > ay0 else ay0
+    y1 = by1 if by1 < ay1 else ay1
+    if y0 >= y1:
+        return None
+    return x0, y0, x1, y1
+
+
+def box_iou(
+    ax0: float, ay0: float, ax1: float, ay1: float,
+    bx0: float, by0: float, bx1: float, by1: float,
+) -> float:
+    """Intersection-over-union of box a and box b, in [0, 1]; 0.0 when they
+    do not strictly overlap or when their union's area is 0.0."""
+    x0 = bx0 if bx0 > ax0 else ax0
+    x1 = bx1 if bx1 < ax1 else ax1
+    y0 = by0 if by0 > ay0 else ay0
+    y1 = by1 if by1 < ay1 else ay1
+    if x0 >= x1 or y0 >= y1:
+        return 0.0
+    inter = (x1 - x0) * (y1 - y0)
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return inter / union if union else 0.0
+
+
 def intersects(a: Rect, b: Rect) -> bool:
     """Strict overlap test; edge or corner contact is not an intersection."""
-    return (
-        a.x_min < b.x_max
-        and b.x_min < a.x_max
-        and a.y_min < b.y_max
-        and b.y_min < a.y_max
-    )
+    box = clip_box(a.x_min, a.y_min, a.x_max, a.y_max, b.x_min, b.y_min, b.x_max, b.y_max)
+    return box is not None
 
 
 def intersection(a: Rect, b: Rect) -> Optional[Rect]:
     """Overlap of two rects, or None when they do not strictly overlap."""
-    x_min = max(a.x_min, b.x_min)
-    y_min = max(a.y_min, b.y_min)
-    x_max = min(a.x_max, b.x_max)
-    y_max = min(a.y_max, b.y_max)
-    if x_min >= x_max or y_min >= y_max:
-        return None
-    return Rect(x_min, y_min, x_max, y_max)
+    box = clip_box(a.x_min, a.y_min, a.x_max, a.y_max, b.x_min, b.y_min, b.x_max, b.y_max)
+    return None if box is None else Rect(*box)
 
 
 def iou(a: Rect, b: Rect) -> float:
-    """Intersection-over-union of two rects, in [0, 1]."""
-    inter = intersection(a, b)
-    if inter is None:
-        return 0.0
-    inter_area = inter.area
-    return inter_area / (a.area + b.area - inter_area)
+    """Intersection-over-union of two rects, in [0, 1] (see box_iou)."""
+    return box_iou(a.x_min, a.y_min, a.x_max, a.y_max, b.x_min, b.y_min, b.x_max, b.y_max)
 
 
 def enclosing(rects: Iterable[Rect]) -> Rect:

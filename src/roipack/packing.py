@@ -87,26 +87,32 @@ class PackSlot:
     scale_y: float
 
     def __post_init__(self):
-        if self.scale_x <= 0 or self.scale_y <= 0:
-            raise ValueError("slot scale factors must be positive")
+        if not (0.0 < self.scale_x < math.inf and 0.0 < self.scale_y < math.inf):
+            raise ValueError("slot scale factors must be positive and finite")
+
+    def map_to_dest(self, x0: float, y0: float, x1: float, y1: float) -> tuple:
+        """A source-coordinate box's corners in destination coordinates."""
+        sx, sy, dx, dy = self.src.x_min, self.src.y_min, self.dst.x_min, self.dst.y_min
+        scale_x, scale_y = self.scale_x, self.scale_y
+        return (dx + (x0 - sx) * scale_x, dy + (y0 - sy) * scale_y,
+                dx + (x1 - sx) * scale_x, dy + (y1 - sy) * scale_y)
+
+    def map_to_source(self, x0: float, y0: float, x1: float, y1: float) -> tuple:
+        """A destination-coordinate box's corners in source coordinates. It
+        divides by the scale: multiplying by its inverse would round
+        differently."""
+        sx, sy, dx, dy = self.src.x_min, self.src.y_min, self.dst.x_min, self.dst.y_min
+        scale_x, scale_y = self.scale_x, self.scale_y
+        return (sx + (x0 - dx) / scale_x, sy + (y0 - dy) / scale_y,
+                sx + (x1 - dx) / scale_x, sy + (y1 - dy) / scale_y)
 
     def to_dest(self, rect: Rect) -> Rect:
         """Map a rect from source coordinates into destination coordinates."""
-        return Rect(
-            self.dst.x_min + (rect.x_min - self.src.x_min) * self.scale_x,
-            self.dst.y_min + (rect.y_min - self.src.y_min) * self.scale_y,
-            self.dst.x_min + (rect.x_max - self.src.x_min) * self.scale_x,
-            self.dst.y_min + (rect.y_max - self.src.y_min) * self.scale_y,
-        )
+        return Rect(*self.map_to_dest(rect.x_min, rect.y_min, rect.x_max, rect.y_max))
 
     def to_source(self, rect: Rect) -> Rect:
         """Map a rect from destination coordinates back into source coordinates."""
-        return Rect(
-            self.src.x_min + (rect.x_min - self.dst.x_min) / self.scale_x,
-            self.src.y_min + (rect.y_min - self.dst.y_min) / self.scale_y,
-            self.src.x_min + (rect.x_max - self.dst.x_min) / self.scale_x,
-            self.src.y_min + (rect.y_max - self.dst.y_min) / self.scale_y,
-        )
+        return Rect(*self.map_to_source(rect.x_min, rect.y_min, rect.x_max, rect.y_max))
 
 
 @frozen
@@ -556,9 +562,10 @@ def _expand_axis(
 
 def expand_greedy(
     src: list[list[float]], layout: Layout, source: FrameSpec, dest: FrameSpec
-) -> PackPlan:
+) -> Optional[PackPlan]:
     """Grow, in place, the source crops that place_and_fit() found to fit
-    with this layout, to pull in context; then place them and build the plan.
+    with this layout, to pull in context; then place them and build the
+    plan, or return None if a placed slot collapses to no width or height.
 
     Slots grow along the layout's axis first, then the other axis, in
     rounds of at most GROWTH_STEP per slot, iterated in slot index order.
@@ -574,21 +581,22 @@ def expand_greedy(
         _expand_axis(src, axis, layout, dest.side, source.side)
     # Rounding may leave a dst ~1e-9 past the frame; that still fits.
     corners, _ = _flush(src, layout)
-    slots = tuple(
-        [
-            PackSlot(Rect(x0, y0, x1, y1), Rect(x, y, x + (x1 - x0), y + (y1 - y0)), 1.0, 1.0)
-            for (x0, y0, x1, y1), (x, y) in zip(src, corners)
-        ]
-    )
-    return PackPlan(slots=slots, dest=dest, method=PackMethod.GREEDY, source=source)
+    slots = []
+    for (x0, y0, x1, y1), (x, y) in zip(src, corners):
+        x1_dst, y1_dst = x + (x1 - x0), y + (y1 - y0)
+        if not (x < x1_dst and y < y1_dst):
+            return None  # a slot thinner than an ulp of where it is placed
+        slots.append(PackSlot(Rect(x0, y0, x1, y1), Rect(x, y, x1_dst, y1_dst), 1.0, 1.0))
+    return PackPlan(slots=tuple(slots), dest=dest, method=PackMethod.GREEDY, source=source)
 
 
 def pack(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Optional[PackPlan]:
     """Build a greedy packing plan for a frame, or None when packing fails.
 
     Fails (meaning the caller should process the frame at full size) when
-    there are no ROIs, when merging leaves more than MAX_SLOTS boxes, or
-    when the merged boxes cannot fit unscaled in the destination frame.
+    there are no ROIs, when merging leaves more than MAX_SLOTS boxes, when
+    the merged boxes cannot fit unscaled in the destination frame, or when
+    a slot is so thin that it has no width where it is placed.
     """
     if not rois:
         return None
@@ -624,7 +632,8 @@ def pack_naive(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Opti
     the source frame) and rescaled to fill its grid cell: the whole frame
     for one ROI, two columns for two, quadrant cells for three or four.
     Aspect ratios are not preserved. ROIs are not merged first, so with
-    zero or more than MAX_SLOTS ROIs the frame falls back to full size.
+    zero or more than MAX_SLOTS ROIs the frame falls back to full size; so
+    does a frame with an ROI so thin that its scale overflows.
     """
     count = len(rois)
     if count == 0 or count > MAX_SLOTS:
@@ -640,7 +649,10 @@ def pack_naive(rois: Sequence[Rect], source: FrameSpec, dest: FrameSpec) -> Opti
             min(source.side, cx + half_w),
             min(source.side, cy + half_h),
         )
-        slots.append(PackSlot(src, cell, cell.width / src.width, cell.height / src.height))
+        scale_x, scale_y = cell.width / src.width, cell.height / src.height
+        if scale_x == math.inf or scale_y == math.inf:
+            return None
+        slots.append(PackSlot(src, cell, scale_x, scale_y))
     return PackPlan(
         slots=tuple(slots),
         dest=dest,

@@ -30,15 +30,11 @@ Both views run one per-object loop. The view fixes, once per call, the
 clip side (the full frame's, or the plan's reduced frame's), the source
 frame's area and, for a reduced view, the slots and the margin-miss and
 scale-penalty knobs. Each object gets its confidence; in a reduced view
-also its covering slot, margin miss, mapping into the slot's dst and
-scale penalty; and one jitter and clip finishes it. The mapping and its
-clip to the dst are the floats of `PackSlot.to_dest` and
-`geometry.intersection`, kept as plain floats, so no Rect is built
-before the detection's own. Every min() and max() of the confidence, of
-the dst clip and of the jitter's clip is written as a conditional that
-keeps the call's argument order, so ties (0.0 against -0.0) resolve as
-the calls resolve them and the detections are bit-identical to the
-plain min()/max() form.
+also its covering slot, margin miss, mapping into the slot's dst
+(`PackSlot.map_to_dest`, clipped by `geometry.clip_box`) and scale
+penalty; and one jitter and clip to the frame finishes it. The box stays
+plain floats until the detection's own Rect is built, and the confidence
+is clamped by conditionals that keep max()'s and min()'s tie order.
 
 The generator emits square-frame videos whose per-video union occupancy is
 drawn from a sparse/heavy scene mixture averaging the requested mean;
@@ -57,7 +53,7 @@ from typing import Optional, Sequence
 
 from ._pcg64 import PCG64
 from ._record import frozen
-from .geometry import FrameSpec, Rect, intersects
+from .geometry import FrameSpec, Rect, clip_box, intersects
 from .packing import PackSlot
 from .pipeline import Detection, FullView, GroundTruthFrame, GtObject, View
 
@@ -195,37 +191,24 @@ def oracle_detect(view: View, gt: GroundTruthFrame, noise: NoiseModel) -> list[D
                 continue
             if _context_margin(rect, slot.src, source_side) < margin_min and u < p_miss:
                 continue
-            # intersection(slot.to_dest(rect), slot.dst), in floats: a box
-            # that maps to nothing (narrower than an ulp of dst) is dropped.
-            src, dst = slot.src, slot.dst
-            scale_x, scale_y = slot.scale_x, slot.scale_y
-            sx, sy = src.x_min, src.y_min
-            dx0, dy0, dx1, dy1 = dst.x_min, dst.y_min, dst.x_max, dst.y_max
-            x0 = dx0 + (x0 - sx) * scale_x
-            x0 = dx0 if dx0 > x0 else x0
-            x1 = dx0 + (x1 - sx) * scale_x
-            x1 = dx1 if dx1 < x1 else x1
-            y0 = dy0 + (y0 - sy) * scale_y
-            y0 = dy0 if dy0 > y0 else y0
-            y1 = dy0 + (y1 - sy) * scale_y
-            y1 = dy1 if dy1 < y1 else y1
-            if x0 >= x1 or y0 >= y1:
+            # A box that maps to nothing (narrower than an ulp of dst) is dropped.
+            dst = slot.dst
+            x0, y0, x1, y1 = slot.map_to_dest(x0, y0, x1, y1)
+            box = clip_box(x0, y0, x1, y1, dst.x_min, dst.y_min, dst.x_max, dst.y_max)
+            if box is None:
                 continue
+            x0, y0, x1, y1 = box
+            scale_x, scale_y = slot.scale_x, slot.scale_y
             conf *= penalty ** (abs(scale_x - 1.0) + abs(scale_y - 1.0))
             sigma_x, sigma_y = sigma * scale_x, sigma * scale_y
         if sigma_x != 0.0 or sigma_y != 0.0:
-            x0 += sigma_x * z0
-            y0 += sigma_y * z1
-            x1 += sigma_x * z2
-            y1 += sigma_y * z3
-            x0 = 0.0 if 0.0 > x0 else x0
-            x0 = side if side < x0 else x0
-            y0 = 0.0 if 0.0 > y0 else y0
-            y0 = side if side < y0 else y0
-            x1 = 0.0 if 0.0 > x1 else x1
-            x1 = side if side < x1 else x1
-            y1 = 0.0 if 0.0 > y1 else y1
-            y1 = side if side < y1 else y1
+            box = clip_box(
+                x0 + sigma_x * z0, y0 + sigma_y * z1, x1 + sigma_x * z2, y1 + sigma_y * z3,
+                0.0, 0.0, side, side,
+            )
+            if box is None:
+                continue
+            x0, y0, x1, y1 = box
             if x1 - x0 <= 1e-6 or y1 - y0 <= 1e-6:
                 continue
             rect = Rect(x0, y0, x1, y1)

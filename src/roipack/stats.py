@@ -26,7 +26,8 @@ def temporal_region_iou(
 
     The regions compared are the unions of each frame's boxes; the measure
     is |U_t intersect U_t1| / |U_t union U_t1|. Two empty frames overlap
-    perfectly by convention.
+    perfectly by convention, and regions whose union has area 0.0 (boxes
+    whose areas underflow) not at all.
     """
     rects_t = [obj.rect for obj in frame_t.objects]
     rects_t1 = [obj.rect for obj in frame_t1.objects]
@@ -45,7 +46,7 @@ def temporal_region_iou(
     ]
     inter_area = union_area(pairwise)
     total = union_area(rects_t + rects_t1)
-    return inter_area / total
+    return inter_area / total if total else 0.0
 
 
 @frozen

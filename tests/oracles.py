@@ -37,8 +37,9 @@ calls, where map_back keeps running maxima in conditionals; the two must
 agree bit for bit. And
 reference_evaluate_detections is the evaluator as it was before scoring
 became one pass: it re-filters every detection and ground-truth box once per
-class, ranks them over all frames at once and builds a Rect per IoU, and the
-package, which matches frame by frame and then ranks, must report equal APs.
+class, ranks them over all frames at once and computes each IoU with its own
+_box_iou, and the package, which matches frame by frame and then ranks, must
+report equal APs.
 """
 
 import json
@@ -51,7 +52,7 @@ import numpy as np
 from roipack.evaluation import EvalReport, Scores, match_frame, mean_average_precision
 from roipack.costmodel import FrameDecision
 from roipack.formats import AnnotationError, flat_frame
-from roipack.geometry import FrameSpec, Rect, iou
+from roipack.geometry import FrameSpec, Rect
 from roipack.packing import (
     GROWTH_STEP,
     MAX_SLOTS,
@@ -163,6 +164,7 @@ def _overlaps(a: Rect, b: Rect) -> bool:
 
 
 def _box_iou(a, b):
+    """IoU of two (x0, y0, x1, y1) boxes; 0.0 when their union's area is 0.0."""
     ix = min(a[2], b[2]) - max(a[0], b[0])
     iy = min(a[3], b[3]) - max(a[1], b[1])
     if ix <= 0 or iy <= 0:
@@ -170,7 +172,12 @@ def _box_iou(a, b):
     inter = ix * iy
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
+    union = area_a + area_b - inter
+    return inter / union if union != 0.0 else 0.0
+
+
+def _rect_box(r: Rect) -> tuple[float, float, float, float]:
+    return r.x_min, r.y_min, r.x_max, r.y_max
 
 
 def _rank_order(dets, class_id):
@@ -657,7 +664,7 @@ def reference_average_precision(
         for gt_idx, gt in enumerate(gt_by_frame.get(frame_key, [])):
             if (frame_key, gt_idx) in used:
                 continue
-            overlap = iou(det.rect, gt.rect)
+            overlap = _box_iou(_rect_box(det.rect), _rect_box(gt.rect))
             if overlap > best_iou:
                 best_iou, best_idx = overlap, gt_idx
         if best_idx >= 0 and best_iou >= iou_threshold:

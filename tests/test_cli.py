@@ -7,11 +7,14 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roipack
 from roipack import cli
@@ -165,6 +168,61 @@ class TestRun:
         assert hashlib.sha256(naive.read_bytes()).hexdigest() == (
             "4f01e1de8466560462b56a2bf53995483dc8b20420c30c91b0dc7fd29cf107ea"
         )
+
+    def write_frames(self, path, frames, *objects):
+        path.write_text("".join(
+            json.dumps({"video": "v0", "frame": f, "objects": list(objects)}) + "\n"
+            for f in range(frames)
+        ))
+        return path
+
+    @pytest.mark.parametrize("mode", ["pad", "baseline"])
+    def test_a_box_of_zero_area_is_scored_as_no_match(self, tmp_path, mode):
+        # At 300 px the first box is 3e-14 by 1.5e-321 px: its area, and so
+        # its union with its own detection, underflows to 0.0. The run used
+        # to end in a ZeroDivisionError raised in the encoder process.
+        ann = self.write_frames(
+            tmp_path / "a.jsonl", 10,
+            {"class": 0, "x0": 0.5, "y0": 0.0, "x1": 0.5000000000000001, "y1": 5e-324},
+            {"class": 1, "x0": 0.55, "y0": 0.5, "x1": 0.95, "y1": 0.9},
+        )
+        out = tmp_path / "r.jsonl"
+        assert self.run(ann, out, "--noise-profile", "off", "--mode", mode) == 0
+        summary = json.loads((tmp_path / "r.summary.json").read_text())
+        assert summary["evaluation"]["per_class_ap"] == {"0": 0.0, "1": 1.0}
+
+    def test_naive_mode_falls_back_when_a_scale_overflows(self, tmp_path):
+        # The first box is 1.5e-321 px wide, so its naive crop's scale to
+        # its cell overflows; the run used to fail with "non-finite rect
+        # coordinate: nan". Such a frame now runs at full size.
+        ann = self.write_frames(
+            tmp_path / "a.jsonl", 10,
+            {"class": 0, "x0": 0.0, "y0": 0.3, "x1": 5e-324, "y1": 0.31},
+            {"class": 1, "x0": 0.55, "y0": 0.5, "x1": 0.95, "y1": 0.9},
+        )
+        out = tmp_path / "r.jsonl"
+        assert self.run(ann, out, "--noise-profile", "off", "--mode", "naive") == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["decision"] for r in records] == [
+            "anchor" if f % 5 == 0 else "fallback_full" for f in range(10)
+        ]
+
+    def test_pad_mode_falls_back_when_a_slot_collapses(self, tmp_path):
+        # Placed after a 3e-14 px wide slot, a 1.5e-321 px wide one has no
+        # width; the run used to fail with "degenerate rect".
+        ann = self.write_frames(
+            tmp_path / "a.jsonl", 8,
+            {"class": 1, "x0": 0.0, "y0": 0.999, "x1": 0.3, "y1": 1.0},
+            {"class": 0, "x0": 0.0, "y0": 0.0, "x1": 1e-16, "y1": 0.05},
+            {"class": 1, "x0": 0.0, "y0": 0.39263608523672194, "x1": 5e-324,
+             "y1": 0.39263608523672205},
+        )
+        out = tmp_path / "r.jsonl"
+        assert self.run(ann, out, "--noise-profile", "off") == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["decision"] for r in records] == [
+            "anchor" if f % 5 == 0 else "fallback_full" for f in range(8)
+        ]
 
     def test_same_flags_are_byte_identical(self, tmp_path):
         ann = gen(tmp_path)
@@ -981,6 +1039,18 @@ class TestStats:
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "occupancy_hist.csv", "stats_summary.json"]
 
+    def test_a_box_of_zero_area_has_temporal_iou_zero(self, tmp_path):
+        # The box's area underflows to 0.0; stats used to divide 0.0 by 0.0.
+        box = '{"class": 0, "x0": 0.5, "y0": 0.0, "x1": 0.5000000000000001, "y1": 5e-324}'
+        ann = tmp_path / "a.jsonl"
+        ann.write_text("".join(
+            f'{{"video": "v0", "frame": {f}, "objects": [{box}]}}\n' for f in range(3)
+        ))
+        out_dir = tmp_path / "stats"
+        assert main(["stats", str(ann), "--out-dir", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "stats_summary.json").read_text())
+        assert summary["mean_temporal_iou"] == 0.0
+
     def test_single_frame_dataset_has_no_pairs(self, tmp_path):
         ann = tmp_path / "one.jsonl"
         ann.write_text(f'{{"video": "v", "frame": 0, "objects": [{OCC_HALF}]}}\n')
@@ -989,3 +1059,113 @@ class TestStats:
         summary = json.loads((out_dir / "stats_summary.json").read_text())
         assert summary["mean_temporal_iou"] is None
         assert not (out_dir / "temporal_iou_hist.csv").exists()
+
+
+# Frame sides (full, reduced) the generated runs draw from: the defaults, a
+# reduced side that is not a power-of-two fraction, and tiny and huge frames.
+FUZZ_SIDES = [("300", "150"), ("300", "149.7"), ("1", "0.5"), ("0.01", "0.01"),
+              ("65536", "32768")]
+
+
+FUZZ_TINY_WIDTHS = st.sampled_from([5e-324, 1e-16])
+# Half the frame is the reduced side at most of FUZZ_SIDES.
+FUZZ_WIDTHS = st.sampled_from([5e-324, 1e-16, 0.5, 1.0]) | st.floats(5e-324, 1.0)
+FUZZ_PLACES = st.sampled_from(["low", "high", "anywhere", "ulp"])
+FUZZ_UNIT = st.floats(0.0, 1.0)
+
+
+def draw_fuzz_span(draw, slivers: bool) -> tuple[float, float]:
+    """One axis of a box, in [0, 1]: 5e-324 to 1 wide (at most 1e-16 among
+    `slivers`), one ulp wide, or flush with a frame edge."""
+    width = draw(FUZZ_TINY_WIDTHS if slivers else FUZZ_WIDTHS)
+    where = draw(FUZZ_PLACES)
+    if where == "low":
+        return 0.0, width
+    if where == "high":  # one ulp wide where 1 - width rounds to 1
+        lo = 1.0 - width
+        return (lo if lo < 1.0 else math.nextafter(1.0, 0.0)), 1.0
+    lo = draw(FUZZ_UNIT)
+    hi = math.nextafter(lo, 2.0) if where == "ulp" else lo + width
+    return lo, min(hi, 1.0)
+
+
+@st.composite
+def fuzz_annotations(draw, side):
+    """JSON lines of one or two videos of up to 8 frames, each video holding
+    the same 0 to 6 boxes in every frame; a box that is empty at `side` is
+    left out, so every file is valid. The boxes of some videos are all
+    slivers, which is where packing and scoring meet underflow."""
+    lines = []
+    for video in range(draw(st.integers(1, 2))):
+        objects = []
+        slivers = draw(st.booleans())
+        for _ in range(draw(st.integers(0, 6))):
+            (x0, x1), (y0, y1) = draw_fuzz_span(draw, slivers), draw_fuzz_span(draw, slivers)
+            if x0 * side < x1 * side and y0 * side < y1 * side:
+                objects.append(
+                    {"class": draw(st.integers(0, 2)), "x0": x0, "y0": y0, "x1": x1, "y1": y1}
+                )
+        for frame in range(draw(st.integers(1, 8))):
+            lines.append(json.dumps({"video": f"v{video}", "frame": frame, "objects": objects}))
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def fuzz_run_case(draw):
+    """An annotation file and `run` flags. Packing and noise-free boxes are
+    drawn twice as often as the rest: the default noise drops boxes
+    narrower than 1e-6 px, so slivers reach packing and scoring only
+    without it."""
+    full, reduced = draw(st.sampled_from(FUZZ_SIDES))
+    text = draw(fuzz_annotations(float(full)))
+    flags = [
+        "--full-size", full, "--reduced-size", reduced,
+        "--mode", draw(st.sampled_from(["pad", "pad", "naive", "baseline"])),
+        "--noise-profile", draw(st.sampled_from(["off", "off", "default"])),
+        "--tau", draw(st.sampled_from(["0", "0.2", "1"])),
+        "--anchor-interval", draw(st.sampled_from(["1", "2", "100"])),
+    ]
+    return text, flags
+
+
+def assert_inputs_kept_and_no_temporaries(root: Path, ann: Path, text: str):
+    assert ann.read_text() == text
+    assert not [p for p in root.rglob("*") if p.name.endswith(".tmp")]
+
+
+class TestEveryValidFileRuns:
+    """Generated valid annotation files, with boxes down to 5e-324 wide and
+    one ulp wide, run to the end in every mode and are summarized by
+    `stats`, at the default and at extreme frame sides."""
+
+    @given(fuzz_run_case())
+    @settings(max_examples=400, deadline=None)
+    def test_run(self, case):
+        text, flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            ann, out = root / "a.jsonl", root / "r.jsonl"
+            ann.write_text(text)
+            assert main(["run", str(ann), "--out", str(out), *flags]) == 0
+            assert_inputs_kept_and_no_temporaries(root, ann, text)
+            for line in out.read_text().splitlines():
+                for d in json.loads(line)["detections"]:
+                    box = [d["x0"], d["y0"], d["x1"], d["y1"]]
+                    assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in box), box
+                    assert box[0] <= box[2] and box[1] <= box[3], box
+
+    @given(st.sampled_from(FUZZ_SIDES).flatmap(
+        lambda sides: st.tuples(st.just(sides[0]), fuzz_annotations(float(sides[0])))))
+    @settings(max_examples=200, deadline=None)
+    def test_stats(self, case):
+        full, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            ann = root / "a.jsonl"
+            ann.write_text(text)
+            out_dir = root / "s"
+            assert main(["stats", str(ann), "--full-size", full, "--out-dir", str(out_dir)]) == 0
+            assert_inputs_kept_and_no_temporaries(root, ann, text)
+            summary = json.loads((out_dir / "stats_summary.json").read_text())
+            for key in ("mean_occupancy", "mean_temporal_iou"):
+                assert summary[key] is None or math.isfinite(summary[key])

@@ -9,6 +9,8 @@ from oracles import raster_union_area
 from roipack.geometry import (
     FrameSpec,
     Rect,
+    box_iou,
+    clip_box,
     enclosing,
     intersection,
     intersects,
@@ -86,9 +88,37 @@ class TestIntersection:
             assert a.contains(inter) and b.contains(inter)
 
 
+class TestClipBox:
+    def test_a_tie_keeps_the_first_box_value(self):
+        x0, y0, x1, y1 = clip_box(-0.0, 0.0, 1.0, 1.0, 0.0, -0.0, 2.0, 2.0)
+        assert math.copysign(1.0, x0) == -1.0 and math.copysign(1.0, y0) == 1.0
+        x0, y0, _, _ = clip_box(0.0, -0.0, 2.0, 2.0, -0.0, 0.0, 1.0, 1.0)
+        assert math.copysign(1.0, x0) == 1.0 and math.copysign(1.0, y0) == -1.0
+
+    @given(rect_st, rect_st)
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_are_max_and_min_of_a_then_b(self, a, b):
+        box = clip_box(a.x_min, a.y_min, a.x_max, a.y_max, b.x_min, b.y_min, b.x_max, b.y_max)
+        want = (max(a.x_min, b.x_min), max(a.y_min, b.y_min),
+                min(a.x_max, b.x_max), min(a.y_max, b.y_max))
+        if want[0] < want[2] and want[1] < want[3]:
+            assert [v.hex() for v in box] == [v.hex() for v in want]
+        else:
+            assert box is None
+
+
 class TestIou:
     def test_worked_example(self):
         assert iou(Rect(0, 0, 2, 2), Rect(1, 1, 3, 3)) == 1 / 7
+
+    def test_a_union_of_zero_area_has_iou_zero(self):
+        # At a 300 px side this annotated box is 3e-14 by 1.5e-321 px, and
+        # its area underflows to 0.0; it used to divide 0.0 by 0.0.
+        r = Rect(0.5 * 300, 0.0, 0.5000000000000001 * 300, 5e-324 * 300)
+        assert r.area == 0.0
+        assert iou(r, r) == 0.0
+        corners = (r.x_min, r.y_min, r.x_max, r.y_max)
+        assert box_iou(*corners, *corners) == 0.0
 
     def test_identity_and_disjoint(self):
         r = Rect(3, 4, 10, 12)

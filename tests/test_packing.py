@@ -687,6 +687,18 @@ class TestPack:
         five = [Rect(60 * i, 0, 60 * i + 20, 20) for i in range(5)]
         assert pack(five, SRC, DST) is None
 
+    def test_a_slot_thinner_than_an_ulp_of_its_placement_falls_back(self):
+        # The 1.5e-321 px wide box is placed after the 3e-14 px wide one,
+        # at x = 3e-14, where adding its width changes nothing; building
+        # that dst used to fail with "degenerate rect".
+        rois = [
+            Rect(0.0, 299.7, 90.0, 300.0),
+            Rect(0.0, 0.0, 3e-14, 15.0),
+            Rect(0.0, 117.79082557101658, 5e-324 * 300, 117.79082557101661),
+        ]
+        assert pack(rois, SRC, DST) is None
+        assert pack(rois[:2], SRC, DST) is not None
+
     def test_overlapping_clusters_merge_below_limit(self):
         # Six boxes forming two overlapping clusters pack fine.
         cluster = lambda x, y: [
@@ -753,6 +765,12 @@ class TestPack:
 
 
 class TestPackSlot:
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_scale_must_be_finite(self, scale):
+        for scale_x, scale_y in ((scale, 1.0), (1.0, scale)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                PackSlot(Rect(0, 0, 1, 1), Rect(0, 0, 1, 1), scale_x, scale_y)
+
     def test_round_trip(self):
         slot = PackSlot(src=Rect(65, 75, 215, 225), dst=Rect(0, 0, 150, 150),
                         scale_x=1.0, scale_y=1.0)
@@ -769,6 +787,13 @@ class TestPackSlot:
 
 
 class TestPackNaive:
+    def test_a_roi_whose_scale_overflows_falls_back(self):
+        # A crop 1.6e-321 px wide scales to its 150 px cell by inf, which
+        # used to map boxes to NaN.
+        rois = [Rect(0.0, 90.0, 5e-324 * 300, 93.0), Rect(165, 150, 285, 270)]
+        assert pack_naive(rois, SRC, DST) is None
+        assert pack_naive(rois[1:], SRC, DST) is not None
+
     def test_single_roi_fills_destination(self):
         plan = pack_naive([Rect(100, 100, 200, 150)], SRC, DST)
         assert plan is not None

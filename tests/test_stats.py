@@ -51,6 +51,11 @@ class TestTemporalRegionIou:
     def test_both_empty_by_convention(self):
         assert temporal_region_iou(frame_of(0), frame_of(1), FRAME) == 1.0
 
+    def test_regions_of_zero_area_do_not_overlap(self):
+        # This box's area underflows to 0.0; it used to divide 0.0 by 0.0.
+        frame = frame_of(0, Rect(0.5 * 300, 0.0, 0.5000000000000001 * 300, 5e-324 * 300))
+        assert temporal_region_iou(frame, frame, FRAME) == 0.0
+
     def test_one_empty(self):
         frame = frame_of(0, Rect(0, 0, 100, 100))
         assert temporal_region_iou(frame, frame_of(1), FRAME) == 0.0
