@@ -14,17 +14,13 @@ smaller destination frame:
      as the destination allows; the grown crops are placed flush once more,
      and only then are the slots and the plan built, each once.
 
-Growth is defined in rounds of at most one pixel unit per slot, split
-symmetrically between both sides; growth clipped at a source frame boundary
-spills to the opposite side. A slot stops growing along an axis when the
-shared destination capacity is used up, when it would run into another
-slot's source patch, or when it already spans the whole source frame.
-
-Plans are bit-identical to stepping every round, but expansion pays per
-event (a freeze, a collision, a pin to a frame edge), not per round: a run
-of quiet rounds, in which every growing slot just takes its full unit, is
-replayed with one float addition per power of two crossed, and a collision
-is settled from the exact float growth at which the slot first hits.
+Growth is the continuous limit of the paper's greedy increments as they
+shrink. Along one axis at a time, every growing slot grows at one rate, half
+on each side, or all on the free side once its other edge is at a frame
+edge. It freezes when its capacity is used up (its group's free side on the
+stacking axis; on the extent axis the slack, once it has reached its
+group's extent), when it touches another slot's source patch, or when it
+spans the source frame. Each event is one closed-form step away.
 
 The overlap merge is loaded hardest where frames are crowded, so its loops
 work on flat values: `connected_components` reads each box's coordinates
@@ -55,12 +51,8 @@ from .geometry import FrameSpec, Rect, enclosing
 
 MAX_SLOTS = 4
 
-# Per-round growth quantum for greedy expansion, in pixel units.
-GROWTH_STEP = 1.0
-
 # Largest frame side the command line accepts, because a larger frame's area
-# can overflow. Expansion time no longer grows with the side: it follows
-# events, not rounds of growth.
+# can overflow. Expansion time does not grow with the side: it follows events.
 MAX_FRAME_SIDE = 65536.0
 
 _EPS = 1e-9
@@ -265,299 +257,141 @@ def _grow_interval(
     """Grow [lo, hi] in [0, bound] by g, split half per side; growth clipped
     at a boundary spills to the opposite side."""
     left = right = 0.5 * g
-    room_l = lo
-    room_r = bound - hi
-    if left > room_l:
-        right += left - room_l
-        left = room_l
-    if right > room_r:
-        left = min(room_l, left + (right - room_r))
-        right = room_r
-    lo -= left
-    hi += right
+    room = bound - hi
+    if left > lo:
+        right += left - lo
+        left = lo
+    if right > room:
+        left = min(lo, left + (right - room))
+        right = room
+    lo, hi = lo - left, hi + right
     # max(0.0, lo) and min(bound, hi), without the calls.
     return (lo if lo > 0.0 else 0.0), (hi if hi < bound else bound)
-
-
-# Quiet rounds are skipped only while every bound they rely on still holds
-# this many rounds later, which absorbs the last-bit drift of unit steps.
-_QUIET_MARGIN = 2
-
-
-def _repeat_add(x: float, step: float, k: int) -> float:
-    """`x += step` repeated k times, for x > 0 and a power-of-two step no
-    smaller than ulp(x).
-
-    Each addition whose sum stays below the next power of two above x is
-    exact, so such a run is one addition of its total; the addition that
-    crosses the power of two rounds, and runs on its own.
-    """
-    while True:
-        top = math.ldexp(1.0, math.frexp(x)[1])
-        exact = math.ceil((top - x) / step) - 1  # additions that stay below top
-        if k <= exact:
-            return x + k * step
-        x += exact * step
-        x += step
-        k -= exact + 1
-
-
-def _first_hit(
-    lo: float, hi: float, allowed: float, bound: float, blocking: Sequence[tuple[float, float]]
-) -> float:
-    """The least float growth g at which _grow_interval(lo, hi, g, bound)
-    strictly overlaps one of the `blocking` intervals, given that growth
-    _EPS overlaps none of them and growth `allowed` overlaps one.
-
-    Hitting is monotone in g: the grown lo never rises and hi never falls.
-    So the search brackets an estimate of the contact growth, widens the
-    bracket until it holds the answer, and halves it down to adjacent floats.
-    """
-
-    def hits(g: float) -> bool:
-        grown_lo, grown_hi = _grow_interval(lo, hi, g, bound)
-        for b_lo, b_hi in blocking:
-            if grown_lo < b_hi and b_lo < grown_hi:
-                return True
-        return False
-
-    # Gap d to a blocker is closed by growth 2d, or by d plus the room on
-    # the far side once that room runs out and the growth spills over.
-    estimate = allowed
-    for b_lo, b_hi in blocking:
-        if b_lo >= hi:
-            gap = b_lo - hi
-            estimate = min(estimate, gap + min(gap, lo))
-        else:
-            gap = lo - b_hi
-            estimate = min(estimate, gap + min(gap, bound - hi))
-    width = 4.0 * math.ulp(bound)
-    below, above = max(_EPS, estimate - width), min(allowed, estimate + width)
-    while hits(below):
-        width *= 2.0
-        below, above = max(_EPS, estimate - width), below
-    while not hits(above):
-        width *= 2.0
-        below, above = above, min(allowed, estimate + width)
-    while True:
-        # The rounded midpoint lies strictly between two floats until no
-        # float does.
-        mid = 0.5 * (below + above)
-        if mid == below or mid == above:
-            return above
-        if hits(mid):
-            above = mid
-        else:
-            below = mid
 
 
 def _expand_axis(
     src: list[list[float]], axis: int, layout: Layout, dest_side: float, src_side: float
 ):
-    """Grow all slots along one axis in simultaneous rounds until frozen.
+    """Grow every slot along one axis until each freezes.
 
-    The result is bit-identical to stepping every unit round, but the cost
-    follows events (a freeze, a collision, a pin to a frame edge), not
-    rounds:
-      - a run of quiet rounds, in which every active slot takes a full
-        GROWTH_STEP without meeting the capacity limit, a frame edge or
-        another slot, is replayed with one addition per edge and power of
-        two crossed; the bounds that find such runs are asked again only
-        after an event;
-      - a slot that already touches a blocker freezes after one test, and
-        one that collides finds the exact float growth at which it first
-        hits, so the unit round's bisection compares numbers instead of
-        growing intervals.
+    A slot's growth is the time t at which it froze, and its interval is
+    _grow_interval() of its original by t. Each event is a closed form of
+    the original intervals and the frozen slots' growth: a span of the
+    source, a capacity used up, a group's extent reached, or a contact. Two
+    edges close a gap each at half the rate, or at the whole once the
+    slot's other edge is at a frame edge, so the gap is convex and piecewise
+    linear in t: it reaches a level at the least of its pieces' crossings.
     """
     n = len(src)
     if n == 1:
-        # A lone slot's headroom is dest_side less its size, as the group
-        # bookkeeping below works it out, and nothing blocks it: it jumps
-        # by all it is allowed until that is used up.
+        # Nothing blocks a lone slot: it jumps by all it is allowed until
+        # that is used up (a first jump can round short of it).
         s = src[0]
         lo, hi = s[axis], s[axis + 2]
         while True:
-            allowed = dest_side - (hi - lo)
-            room = lo + (src_side - hi)
-            if room < allowed:
-                allowed = room
+            allowed = min(dest_side - (hi - lo), lo + (src_side - hi))
             if allowed <= _EPS:
                 s[axis], s[axis + 2] = lo, hi
                 return
             lo, hi = _grow_interval(lo, hi, allowed, src_side)
-    groups = layout.groups
-    group_of = [0] * n
-    for g, members in enumerate(groups):
-        for i in members:
-            group_of[i] = g
-    on_extent = axis == layout.axis
-    los = [s[axis] for s in src]
-    his = [s[axis + 2] for s in src]
-
-    # Extent axis: the sum of group extents is capped, but a slot below its
-    # group's current extent grows free up to it. Stacking axis: members of
-    # one group share the destination side. Only a moved slot's entries are
-    # refreshed, to the floats a full recomputation would give.
-    sizes = [hi - lo for lo, hi in zip(los, his)]
-    size_of = sizes.__getitem__
-    extents = [max(map(size_of, members)) for members in groups]
-    slack = dest_side - sum(extents)
-    stack_free = [dest_side - sum(map(size_of, members)) for members in groups]
-
-    def headroom(i: int) -> float:
-        if on_extent:
-            return (extents[group_of[i]] - sizes[i]) + slack
-        return stack_free[group_of[i]]
-
-    def moved(i: int):
-        nonlocal slack
-        size = sizes[i] = his[i] - los[i]
-        g = group_of[i]
-        if not on_extent:
-            stack_free[g] = dest_side - sum(map(size_of, groups[g]))
-        elif size > extents[g]:  # sizes never shrink, so neither do extents
-            extents[g] = size
-            slack = dest_side - sum(extents)
-
-    # The other axis does not move during this pass, so the slots that can
-    # block slot i are fixed: those overlapping it on the other axis by more
-    # than _EPS. A collision's growth can round one ulp past the exact
-    # contact on the far edge, so two slots that grew toward each other on
-    # the last axis may overlap there by an ulp; that sliver must not freeze
-    # them on this axis, or a plan and its mirror image would differ.
+    # Loops, not comprehensions, which cost a frame each. limit[i] is the
+    # growth at which slot i spans the source, or 0 once it touches another.
+    lo0, hi0, size, limit, near = [], [], [], [], []
+    for s in src:
+        lo, hi = s[axis], s[axis + 2]
+        lo0.append(lo)
+        hi0.append(hi)
+        size.append(hi - lo)
+        limit.append(lo + (src_side - hi))
+        near.append([])
+    # Slots block one another if they overlap by more than _EPS on the other
+    # axis, which stands still. near[i] holds (j, whether j is above i, the
+    # growth at which both meet if both grow).
     o_lo, o_hi = 1 - axis, 3 - axis
-    blockers = [[] for _ in range(n)]
-    for i in range(n):
+    for i in range(n - 1):
         for j in range(i + 1, n):
             if src[i][o_lo] + _EPS < src[j][o_hi] and src[j][o_lo] + _EPS < src[i][o_hi]:
-                blockers[i].append(j)
-                blockers[j].append(i)
-
-    def hits(i: int, lo: float, hi: float) -> bool:
-        for j in blockers[i]:
-            if lo < his[j] and los[j] < hi:
-                return True
-        return False
-
-    half = 0.5 * GROWTH_STEP
-
-    def quiet_rounds() -> int:
-        # How far each active slot's lo and hi edges move per quiet round:
-        # half a step each, or a whole step on the free side of a slot
-        # pinned at a frame edge. Frozen slots do not move.
-        left = [0.0] * n
-        right = [0.0] * n
-        growing = [0] * len(groups)
-        for i in active:
-            if los[i] == 0.0:
-                right[i] = GROWTH_STEP
-            elif his[i] == src_side:
-                left[i] = GROWTH_STEP
-            else:
-                left[i] = right[i] = half
-            growing[group_of[i]] += 1
-        growing_groups = len(groups) - growing.count(0)
-        # The least of these bounds over the active slots (as conditionals:
-        # the builtin min() costs more than the whole comparison).
-        rounds = math.inf
-        for i in active:
-            lo, hi = los[i], his[i]
-            # A round costs slot i's headroom at most one step per group
-            # with a growing slot (extent axis), or per growing member of
-            # its own group (stacking axis).
-            spend = growing_groups if on_extent else growing[group_of[i]]
-            bound = (headroom(i) - GROWTH_STEP) / (spend * GROWTH_STEP)
-            if bound < rounds:
-                rounds = bound
-            # Stay clear of the frame edges; this also keeps room >= a step.
-            if left[i]:
-                bound = lo / left[i]
-                if bound < rounds:
-                    rounds = bound
-            if right[i]:
-                bound = (src_side - hi) / right[i]
-                if bound < rounds:
-                    rounds = bound
-            # Gaps to the blockers, closed from both sides.
-            for j in blockers[i]:
-                if los[j] >= hi:
-                    gap, closing = los[j] - hi, right[i] + left[j]
+                a, b = (i, j) if hi0[i] <= lo0[j] else (j, i)
+                gap, below, above = lo0[b] - hi0[a], lo0[a], src_side - hi0[b]
+                if gap <= 0.0:
+                    limit[a] = limit[b] = 0.0
+                    continue
+                # a's hi rises by max(t/2, t - below), b's lo by max(t/2, t - above).
+                meet = min(gap, (gap + below) / 1.5, (gap + above) / 1.5,
+                           0.5 * (gap + below + above))
+                near[a].append((b, True, meet))
+                near[b].append((a, False, meet))
+    groups = layout.groups
+    on_extent = axis == layout.axis
+    cap = [0.0] * len(groups)
+    grown = [None] * n  # the growth at which each slot froze
+    due = [0.0] * n
+    inf = math.inf
+    t, left = 0.0, n
+    while left:
+        # Stacking axis: a group's growing slots share its free side, until
+        # cap[g]. Extent axis: a group whose largest growing slots (of size
+        # cap[g]) have caught up with its frozen ones widens, and the
+        # widening groups share the slack.
+        at, slack, widening = inf, dest_side, 0
+        for g, members in enumerate(groups):
+            grow, free, top, end = 0, dest_side, -inf, -inf
+            for i in members:
+                if grown[i] is None:
+                    grow += 1
+                    free -= size[i]
+                    if size[i] > top:
+                        top = size[i]
                 else:
-                    gap, closing = lo - his[j], left[i] + right[j]
-                if closing:
-                    bound = gap / closing
-                    if bound < rounds:
-                        rounds = bound
-            if rounds < _QUIET_MARGIN + 1:
-                return 0
-        return int(rounds) - _QUIET_MARGIN
-
-    active = list(range(n))  # ascending slot index
-    check = True  # whether an event may have opened a run of quiet rounds
-    while active:
-        if check and len(active) > 1:
-            check = False
-            skip = quiet_rounds()
-            if skip:
-                # Each unit subtraction from lo is exact while lo >= a step,
-                # which the bounds keep, so k of them are one subtraction;
-                # additions to hi round where they cross a power of two.
-                for i in active:
-                    if los[i] == 0.0:
-                        his[i] = _repeat_add(his[i], GROWTH_STEP, skip)
-                    elif his[i] == src_side:
-                        los[i] -= skip * GROWTH_STEP
-                    else:
-                        los[i] -= skip * half
-                        his[i] = _repeat_add(his[i], half, skip)
-                    moved(i)
-        for i in tuple(active):
-            lo, hi = los[i], his[i]
-            # min(GROWTH_STEP, headroom, room), except that a lone grower
-            # faces only static limits: one full-size jump lands exactly
-            # where unit stepping would. len(active) is read per slot: when
-            # a slot freezes mid-round, the last one left takes its lone
-            # jump in that same round.
-            allowed = headroom(i)
-            if allowed > GROWTH_STEP and len(active) > 1:
-                allowed = GROWTH_STEP
-            room = lo + (src_side - hi)
-            if room < allowed:
-                allowed = room
-            if allowed <= _EPS:
-                active.remove(i)
-                check = True
-                continue
-            new_lo, new_hi = _grow_interval(lo, hi, allowed, src_side)
-            if hits(i, new_lo, new_hi):
-                check = True
-                # A slot that already touches a blocker hits at any growth
-                # above _EPS, so the bisection below could keep none.
-                if hits(i, *_grow_interval(lo, hi, _EPS, src_side)):
-                    active.remove(i)
+                    free -= size[i] + grown[i]
+                    if size[i] + grown[i] > end:
+                        end = size[i] + grown[i]
+            if not on_extent:
+                cap[g] = free / grow if grow else inf
+            elif end - top <= t:
+                slack -= top
+                widening += 1
+                cap[g] = top
+            else:
+                slack -= end
+                cap[g] = inf
+                if end - top < at:
+                    at = end - top  # a catch-up
+        if on_extent:
+            slack = slack / widening if widening else inf
+        for g, members in enumerate(groups):
+            for i in members:
+                if grown[i] is not None:
                     continue
-                blocking = [(los[j], his[j]) for j in blockers[i]]
-                first = _first_hit(lo, hi, allowed, src_side, blocking)
-                # The unit round's bisection, where hits() at mid is mid >= first.
-                feasible, infeasible = 0.0, allowed
-                for _ in range(60):
-                    mid = 0.5 * (feasible + infeasible)
-                    if mid >= first:
-                        infeasible = mid
-                    else:
-                        feasible = mid
-                if feasible <= _EPS:
-                    active.remove(i)
-                    continue
-                new_lo, new_hi = _grow_interval(lo, hi, feasible, src_side)
-            elif allowed < GROWTH_STEP:
-                check = True
-            if new_lo == 0.0 != lo or new_hi == src_side != hi:
-                check = True  # newly pinned at a frame edge
-            los[i], his[i] = new_lo, new_hi
-            moved(i)
-    for s, lo, hi in zip(src, los, his):
-        s[axis], s[axis + 2] = lo, hi
+                d = limit[i]
+                c = cap[g] if not on_extent else slack if size[i] == cap[g] else inf
+                if c < d:
+                    d = c
+                for j, above, meet in near[i]:
+                    if grown[j] is not None:
+                        gap = src[j][axis] - hi0[i] if above else lo0[i] - src[j][axis + 2]
+                        room = lo0[i] if above else src_side - hi0[i]
+                        meet = 2.0 * gap if gap < room else gap + room
+                    if meet < d:
+                        d = meet
+                due[i] = d
+                if d < at:
+                    at = d
+        if at > t:
+            t = at
+        for i in range(n):
+            if grown[i] is None and due[i] <= t:
+                grown[i] = t
+                left -= 1
+                if t:
+                    src[i][axis], src[i][axis + 2] = _grow_interval(lo0[i], hi0[i], t, src_side)
+    # Two edges a few roundings apart met: the lower one takes the upper's.
+    near_by = 4.0 * math.ulp(src_side)
+    for a in range(n):
+        for b, above, _ in near[a]:
+            edge = src[b][axis]
+            if above and hi0[a] <= edge and abs(edge - src[a][axis + 2]) <= near_by:
+                src[a][axis + 2] = edge
 
 
 def expand_greedy(
@@ -567,15 +401,8 @@ def expand_greedy(
     with this layout, to pull in context; then place them and build the
     plan, or return None if a placed slot collapses to no width or height.
 
-    Slots grow along the layout's axis first, then the other axis, in
-    rounds of at most GROWTH_STEP per slot, iterated in slot index order.
-    Growth is symmetric about the patch center and spills past a source
-    frame boundary to the opposite side. A slot freezes in an axis when the
-    shared destination capacity is exhausted, when growing would run its
-    src into another slot's src, or when it spans the full source frame.
-
-    Plans are bit-identical to stepping every round, while the cost
-    follows events, not rounds (see _expand_axis).
+    Slots grow along the layout's axis first, then the other, as the module
+    docstring defines, from event to event (see _expand_axis).
     """
     for axis in (layout.axis, 1 - layout.axis):
         _expand_axis(src, axis, layout, dest.side, source.side)

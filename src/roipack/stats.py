@@ -11,12 +11,13 @@ from .pipeline import GroundTruthFrame
 
 
 def occupancy_ratio(frame: GroundTruthFrame, frame_spec: FrameSpec) -> float:
-    """Fraction of the frame covered by objects; overlaps count once."""
+    """Fraction of the frame covered by objects, overlaps counted once, at most 1."""
     rects = [obj.rect for obj in frame.objects]
     for r in rects:
         if not frame_spec.bounds.contains(r):
             raise ValueError(f"object outside frame bounds: {r}")
-    return union_area(rects) / frame_spec.area
+    ratio = union_area(rects) / frame_spec.area
+    return ratio if ratio < 1.0 else 1.0  # the union's slabs can round past the area
 
 
 def temporal_region_iou(
@@ -27,7 +28,7 @@ def temporal_region_iou(
     The regions compared are the unions of each frame's boxes; the measure
     is |U_t intersect U_t1| / |U_t union U_t1|. Two empty frames overlap
     perfectly by convention, and regions whose union has area 0.0 (boxes
-    whose areas underflow) not at all.
+    whose areas underflow) not at all. Rounding past 1 is capped.
     """
     rects_t = [obj.rect for obj in frame_t.objects]
     rects_t1 = [obj.rect for obj in frame_t1.objects]
@@ -46,7 +47,8 @@ def temporal_region_iou(
     ]
     inter_area = union_area(pairwise)
     total = union_area(rects_t + rects_t1)
-    return inter_area / total if total else 0.0
+    ratio = inter_area / total if total else 0.0
+    return ratio if ratio < 1.0 else 1.0
 
 
 @frozen

@@ -6,14 +6,17 @@ instead of union-find, per-prefix re-matching instead of one-pass
 accumulation), so agreement is meaningful, and they import nothing from the
 package beyond plain data types.
 
-The exception is reference_expand_greedy: the plain unit-round greedy
-expansion, stepped one round at a time. The package skips quiet rounds in
-bulk and must reproduce it bit for bit. It takes what place_and_fit returns
-(the boxes as [x0, y0, x1, y1] lists, when they fit) and reuses the
-package's choose_layout, place_and_fit and _flush, so it differs only in the
-growth loop.
+reference_expand_greedy is the continuous greedy expansion simulated from
+event to event in exact rationals (`fractions`), on the float boxes that
+place_and_fit returns. It moves every edge at its speed until the nearest
+event, then reads which slots stop from the positions alone, where the
+package computes each slot's freeze time in floats in one closed form. The
+package must agree within a few ulps of the source side per coordinate. It
+reuses the package's choose_layout and place_and_fit, so it differs only in
+the growth.
 
-Likewise reference_read_annotations is the annotation parser as it was
+Others are the package's own code as it was before a change for speed:
+reference_read_annotations is the annotation parser as it was
 before it tried exact types first, checking every rule of every object, and
 reference_merge_overlaps is the overlap merge as it was before it read each
 box's coordinates into locals: rounds of brute_components, each component
@@ -53,17 +56,7 @@ from roipack.evaluation import EvalReport, Scores, match_frame, mean_average_pre
 from roipack.costmodel import FrameDecision
 from roipack.formats import AnnotationError, flat_frame
 from roipack.geometry import FrameSpec, Rect
-from roipack.packing import (
-    GROWTH_STEP,
-    MAX_SLOTS,
-    Layout,
-    PackMethod,
-    PackPlan,
-    PackSlot,
-    _flush,
-    choose_layout,
-    place_and_fit,
-)
+from roipack.packing import MAX_SLOTS, Layout, PackPlan, PackSlot, choose_layout, place_and_fit
 from roipack.pipeline import Detection, FrameRecord, FullView, GroundTruthFrame, GtObject, View
 from roipack.simdet import _STREAM_DETECT, NoiseModel
 
@@ -246,111 +239,108 @@ def reference_ap(dets, gts, class_id, iou_thr=0.5, exact=False):
 _EPS = 1e-9
 
 
-def _grow_interval(
-    lo: float, hi: float, g: float, bound: float
-) -> tuple[float, float]:
-    """Grow [lo, hi] in [0, bound] by g, split half per side; growth clipped
-    at a boundary spills to the opposite side."""
-    left = right = 0.5 * g
-    room_l = lo
-    room_r = bound - hi
-    if left > room_l:
-        right += left - room_l
-        left = room_l
-    if right > room_r:
-        left = min(room_l, left + (right - room_r))
-        right = room_r
-    return max(0.0, lo - left), min(bound, hi + right)
+def _reference_expand_axis(box, axis: int, layout: Layout, dest_side, src_side):
+    """Grow the [x0, y0, x1, y1] rational boxes along one axis, in place,
+    from event to event.
 
-
-def _candidate_overlaps(
-    src: list[list[float]], i: int, axis: int, grown: tuple[float, float]
-) -> bool:
-    lo, hi = grown
-    o_lo, o_hi = src[i][1 - axis], src[i][3 - axis]
-    for j, other in enumerate(src):
-        if j == i:
-            continue
-        if (
-            lo < other[axis + 2]
-            and other[axis] < hi
-            and o_lo + _EPS < other[3 - axis]
-            and other[1 - axis] + _EPS < o_hi
-        ):
-            return True
-    return False
-
-
-def _expand_axis(
-    src: list[list[float]], axis: int, layout: Layout, dest_side: float, src_side: float
-):
-    """Grow all slots along one axis in simultaneous rounds until frozen."""
+    Between two events every edge moves at a constant speed: an active
+    slot's edges each move at 1/2, or its free edge at 1 once the other is
+    at a frame edge. Each step goes to the nearest instant at which an edge
+    reaches a frame edge or a blocker's edge, a group's capacity runs out,
+    or a slot reaches its group's extent; after it, the slots that span the
+    source, touch a blocker or have no capacity left stop. Everything is
+    read from the positions; nothing is carried from one step to the next.
+    """
+    n = len(box)
+    lo = [b[axis] for b in box]
+    hi = [b[axis + 2] for b in box]
+    eps = Fraction(_EPS)
+    o_lo, o_hi = 1 - axis, 3 - axis
+    blockers = [
+        [j for j in range(n) if j != i and box[i][o_lo] + eps < box[j][o_hi]
+         and box[j][o_lo] + eps < box[i][o_hi]]
+        for i in range(n)
+    ]
     groups = layout.groups
     group_of = {i: g for g, members in enumerate(groups) for i in members}
-    extent_axis = layout.axis
+    on_extent = axis == layout.axis
+    active = set(range(n))
+    while True:
+        size = [h - l for l, h in zip(lo, hi)]
+        extent = [max(size[i] for i in members) for members in groups]
+        slack = dest_side - sum(extent)
 
-    def size(j: int) -> float:
-        return src[j][axis + 2] - src[j][axis]
+        def stops(i):
+            if lo[i] == 0 and hi[i] == src_side:
+                return True
+            if any(lo[i] <= hi[j] and lo[j] <= hi[i] for j in blockers[i]):
+                return True
+            g = group_of[i]
+            if on_extent:
+                return size[i] == extent[g] and slack <= 0
+            return dest_side - sum(size[j] for j in groups[g]) <= 0
 
-    def headroom(i: int) -> float:
-        if axis == extent_axis:
-            # Shared across groups: the sum of group extents is capped, but
-            # a slot below its group's current extent grows free up to it.
-            extents = [max(size(j) for j in members) for members in groups]
-            slack = dest_side - sum(extents)
-            return (extents[group_of[i]] - size(i)) + slack
-        # Stacking axis: members of one group share the destination side.
-        return dest_side - sum(size(j) for j in groups[group_of[i]])
-
-    active = set(range(len(src)))
-    while active:
-        for i in sorted(active):
-            allowance = headroom(i)
-            lo, hi = src[i][axis], src[i][axis + 2]
-            room = lo + (src_side - hi)
-            if len(active) == 1:
-                # A lone grower faces only static constraints; one full-size
-                # jump lands exactly where unit stepping would.
-                allowed = min(allowance, room)
+        active -= {i for i in active if stops(i)}
+        if not active:
+            break
+        down, up = {}, {}
+        for i in active:
+            if lo[i] == 0:
+                down[i], up[i] = Fraction(0), Fraction(1)
+            elif hi[i] == src_side:
+                down[i], up[i] = Fraction(1), Fraction(0)
             else:
-                allowed = min(GROWTH_STEP, allowance, room)
-            if allowed <= _EPS:
-                active.discard(i)
+                down[i] = up[i] = Fraction(1, 2)
+        steps = []
+        for i in active:
+            if down[i]:
+                steps.append(lo[i] / down[i])
+            if up[i]:
+                steps.append((src_side - hi[i]) / up[i])
+            for j in blockers[i]:
+                other = j in active
+                if hi[i] <= lo[j]:
+                    closing = up[i] + (down[j] if other else 0)
+                    if closing:
+                        steps.append((lo[j] - hi[i]) / closing)
+                else:
+                    closing = down[i] + (up[j] if other else 0)
+                    if closing:
+                        steps.append((lo[i] - hi[j]) / closing)
+        for g, members in enumerate(groups):
+            growers = [i for i in members if i in active]
+            if not growers:
                 continue
-            grown = _grow_interval(lo, hi, allowed, src_side)
-            if _candidate_overlaps(src, i, axis, grown):
-                feasible, infeasible = 0.0, allowed
-                for _ in range(60):
-                    mid = 0.5 * (feasible + infeasible)
-                    if _candidate_overlaps(
-                        src, i, axis, _grow_interval(lo, hi, mid, src_side)
-                    ):
-                        infeasible = mid
-                    else:
-                        feasible = mid
-                if feasible <= _EPS:
-                    active.discard(i)
-                    continue
-                grown = _grow_interval(lo, hi, feasible, src_side)
-            src[i][axis], src[i][axis + 2] = grown
+            if not on_extent:
+                steps.append((dest_side - sum(size[i] for i in members)) / len(growers))
+            elif all(size[i] < extent[g] for i in growers):
+                steps.append(extent[g] - max(size[i] for i in growers))
+        widening = sum(
+            1 for g, members in enumerate(groups)
+            if any(i in active and size[i] == extent[g] for i in members)
+        )
+        if on_extent and widening:
+            steps.append(slack / widening)
+        step = min(steps)
+        for i in active:
+            lo[i] -= down[i] * step
+            hi[i] += up[i] * step
+    for b, l, h in zip(box, lo, hi):
+        b[axis], b[axis + 2] = l, h
 
 
-def reference_expand_greedy(
-    src: list[list[float]], layout: Layout, source: FrameSpec, dest: FrameSpec
-) -> PackPlan:
-    """expand_greedy stepped one unit round at a time, every round."""
+def reference_expand_greedy(src, layout: Layout, source: FrameSpec, dest: FrameSpec) -> list:
+    """The boxes that place_and_fit() returned, grown by the continuous
+    expansion in exact rationals: [x0, y0, x1, y1] Fractions per slot."""
+    box = [[Fraction(v) for v in b] for b in src]
     for axis in (layout.axis, 1 - layout.axis):
-        _expand_axis(src, axis, layout, dest.side, source.side)
-    corners, _ = _flush(src, layout)
-    slots = tuple(
-        PackSlot(Rect(x0, y0, x1, y1), Rect(x, y, x + (x1 - x0), y + (y1 - y0)), 1.0, 1.0)
-        for (x0, y0, x1, y1), (x, y) in zip(src, corners)
-    )
-    return PackPlan(slots=slots, dest=dest, method=PackMethod.GREEDY, source=source)
+        _reference_expand_axis(box, axis, layout, Fraction(dest.side), Fraction(source.side))
+    return box
 
 
 def reference_pack(rois, source: FrameSpec, dest: FrameSpec):
-    """pack() with reference_expand_greedy in place of expand_greedy."""
+    """pack() with reference_expand_greedy in place of expand_greedy: the
+    grown boxes as rationals, or None where pack() falls back."""
     if not rois:
         return None
     merged = reference_merge_overlaps(rois)

@@ -959,6 +959,24 @@ class TestStats:
         assert (out_dir / "temporal_iou_hist.csv").exists()
         assert "mean occupancy" in capsys.readouterr().out
 
+    def test_a_frame_whose_union_rounds_past_its_area_reads_one_and_is_binned(self, tmp_path):
+        # Two slivers split the covered frame into slabs whose rounded areas
+        # sum past the frame's: the occupancy read 1.0000000000000002, and
+        # the histogram, binning only [0, 1], left the frame out.
+        objects = [
+            {"class": 0, "x0": 0.0, "y0": 0.0, "x1": 1.0, "y1": 0.5},
+            {"class": 0, "x0": 0.0, "y0": 0.5, "x1": 1.0, "y1": 1.0},
+            {"class": 1, "x0": 0.75, "y0": 0.0, "x1": math.nextafter(0.75, 2.0), "y1": 5e-324},
+            {"class": 1, "x0": 0.9177847433736936, "y0": 0.0, "x1": 1.0, "y1": 5e-324},
+        ]
+        ann = tmp_path / "slivers.jsonl"
+        ann.write_text(json.dumps({"video": "v0", "frame": 0, "objects": objects}) + "\n")
+        out_dir = tmp_path / "stats"
+        assert main(["stats", str(ann), "--out-dir", str(out_dir)]) == 0
+        assert '"mean_occupancy": 1.0,' in (out_dir / "stats_summary.json").read_text()
+        rows = (out_dir / "occupancy_hist.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[2]) for row in rows] == [0] * (len(rows) - 1) + [1]
+
     def test_histogram_csv_headers(self, tmp_path):
         ann = gen(tmp_path)
         out_dir = tmp_path / "stats"
@@ -1091,21 +1109,23 @@ def draw_fuzz_span(draw, slivers: bool) -> tuple[float, float]:
 
 @st.composite
 def fuzz_annotations(draw, side):
-    """JSON lines of one or two videos of up to 8 frames, each video holding
-    the same 0 to 6 boxes in every frame; a box that is empty at `side` is
-    left out, so every file is valid. The boxes of some videos are all
-    slivers, which is where packing and scoring meet underflow."""
+    """JSON lines of one or two videos of up to 8 frames, each frame holding
+    the video's 0 to 6 boxes, each kept from the frame before or moved, so a
+    packed frame's ROIs differ from its boxes; a box that is empty at
+    `side` is left out of its frame, so every file is valid. The boxes of
+    some videos are all slivers, which is where packing and scoring meet
+    underflow."""
     lines = []
     for video in range(draw(st.integers(1, 2))):
-        objects = []
         slivers = draw(st.booleans())
-        for _ in range(draw(st.integers(0, 6))):
-            (x0, x1), (y0, y1) = draw_fuzz_span(draw, slivers), draw_fuzz_span(draw, slivers)
-            if x0 * side < x1 * side and y0 * side < y1 * side:
-                objects.append(
-                    {"class": draw(st.integers(0, 2)), "x0": x0, "y0": y0, "x1": x1, "y1": y1}
-                )
+        boxes = [None] * draw(st.integers(0, 6))
         for frame in range(draw(st.integers(1, 8))):
+            for k, box in enumerate(boxes):
+                if box is None or draw(st.booleans()):
+                    (x0, x1), (y0, y1) = draw_fuzz_span(draw, slivers), draw_fuzz_span(draw, slivers)
+                    boxes[k] = {"class": draw(st.integers(0, 2)), "x0": x0, "y0": y0, "x1": x1, "y1": y1}
+            objects = [b for b in boxes if b["x0"] * side < b["x1"] * side
+                       and b["y0"] * side < b["y1"] * side]
             lines.append(json.dumps({"video": f"v{video}", "frame": frame, "objects": objects}))
     return "".join(line + "\n" for line in lines)
 
@@ -1128,6 +1148,24 @@ def fuzz_run_case(draw):
     return text, flags
 
 
+def assert_plan_fits(slots, full: float, reduced: float, pad: bool):
+    """A packed frame's plan, checked as perfbench/check.py checks it: each
+    src inside the frame, each dst inside the reduced frame within 1e-9,
+    and in pad mode scale 1 and no two srcs overlapping by more than 1e-9.
+    The naive baseline does not merge its ROIs, so its srcs may overlap."""
+    for slot in slots:
+        x0, y0, x1, y1 = slot["src"]
+        assert 0.0 <= x0 < x1 <= full and 0.0 <= y0 < y1 <= full, slot
+        x0, y0, x1, y1 = slot["dst"]
+        assert -1e-9 <= x0 < x1 <= reduced + 1e-9 and -1e-9 <= y0 < y1 <= reduced + 1e-9, slot
+        assert not pad or slot["scale"] == [1.0, 1.0], slot
+    for i, a in enumerate(slots if pad else []):
+        for b in slots[i + 1:]:
+            (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a["src"], b["src"]
+            assert not (min(ax1, bx1) - max(ax0, bx0) > 1e-9
+                        and min(ay1, by1) - max(ay0, by0) > 1e-9), (a, b)
+
+
 def assert_inputs_kept_and_no_temporaries(root: Path, ann: Path, text: str):
     assert ann.read_text() == text
     assert not [p for p in root.rglob("*") if p.name.endswith(".tmp")]
@@ -1135,8 +1173,9 @@ def assert_inputs_kept_and_no_temporaries(root: Path, ann: Path, text: str):
 
 class TestEveryValidFileRuns:
     """Generated valid annotation files, with boxes down to 5e-324 wide and
-    one ulp wide, run to the end in every mode and are summarized by
-    `stats`, at the default and at extreme frame sides."""
+    one ulp wide that stay or move from frame to frame, run to the end in
+    every mode, with plans that fit, and are summarized by `stats` into
+    means in [0, 1], at the default and at extreme frame sides."""
 
     @given(fuzz_run_case())
     @settings(max_examples=400, deadline=None)
@@ -1148,8 +1187,12 @@ class TestEveryValidFileRuns:
             ann.write_text(text)
             assert main(["run", str(ann), "--out", str(out), *flags]) == 0
             assert_inputs_kept_and_no_temporaries(root, ann, text)
+            full, reduced, mode = float(flags[1]), float(flags[3]), flags[5]
             for line in out.read_text().splitlines():
-                for d in json.loads(line)["detections"]:
+                record = json.loads(line)
+                if "plan" in record:
+                    assert_plan_fits(record["plan"]["slots"], full, reduced, mode == "pad")
+                for d in record["detections"]:
                     box = [d["x0"], d["y0"], d["x1"], d["y1"]]
                     assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in box), box
                     assert box[0] <= box[2] and box[1] <= box[3], box
@@ -1168,4 +1211,4 @@ class TestEveryValidFileRuns:
             assert_inputs_kept_and_no_temporaries(root, ann, text)
             summary = json.loads((out_dir / "stats_summary.json").read_text())
             for key in ("mean_occupancy", "mean_temporal_iou"):
-                assert summary[key] is None or math.isfinite(summary[key])
+                assert summary[key] is None or 0.0 <= summary[key] <= 1.0

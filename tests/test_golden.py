@@ -30,7 +30,7 @@ GOLDEN_NO_JITTER = {
 # (extra run flags) -> (results.jsonl sha256, summary sha256)
 GOLDEN = {
     ("--mode", "pad"): (
-        "3fbccfdf587178786b1d6db13286cb44a002a53fdca607153316619169a5ffc3",
+        "9178872ee6eff220e6ea7337e4f0fdd7d0744fea853885533c78fcd1b985a36e",
         "f04b4085d1d83c294d02fb21af50484aa7dcd29ae4705e8f8eb9e1921b7dc1e6",
     ),
     ("--mode", "naive"): (
@@ -42,7 +42,7 @@ GOLDEN = {
         "e3a0f8e7636e0003a6373c533672cb2c917f225b9dd39e3c866f6bdb8eab5bd9",
     ),
     ("--mode", "pad", "--noise-profile", "off"): (
-        "a16d2d6be6ad495912702015cdd6608117b6986f7f64dcc443bb45cde29c3da7",
+        "4d086fb041ce63f829e7cb5bd9c3409297121e7f25cf99395ea35007b6d48887",
         "ca603eaea6d763797906af17d81867f4d8f46fd4ec59869ace1c72a51994c063",
     ),
 }
@@ -53,7 +53,7 @@ GOLDEN = {
 # these as well as `GOLDEN_NO_JITTER`.
 GOLDEN_NOISE_OFF = {
     ("--mode", "pad"): (
-        "616c33b7effd36cce651ac6e1af3e2c9a3a87555c14e57bff8073b1ce6f103fc",
+        "6e3cb7ef8035119a10eeb25d5b957243d0e4100e07f987100d4a1f33df08d71f",
         "ca603eaea6d763797906af17d81867f4d8f46fd4ec59869ace1c72a51994c063",
     ),
     ("--mode", "naive"): (

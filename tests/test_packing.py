@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from allocation import blocks_left_by
-from oracles import _grow_interval as reference_grow_interval
 from oracles import brute_components, reference_merge_overlaps, reference_pack
 from roipack import packing
 from roipack.geometry import FrameSpec, Rect
@@ -16,9 +16,7 @@ from roipack.packing import (
     PackMethod,
     PackPlan,
     PackSlot,
-    _first_hit,
     _flush,
-    _repeat_add,
     choose_layout,
     connected_components,
     expand_greedy,
@@ -399,9 +397,11 @@ class TestExpandGreedy:
         assert plan is not None
         a, b = (s.src for s in plan.slots)
         # Growth closed the 10px gap and stopped, well short of the width
-        # budget; heights kept growing to the full destination side.
-        assert a.x_max <= b.x_min
-        assert b.x_min - a.x_max < 1.5
+        # budget; heights kept growing to the full destination side. Slot
+        # 0, pinned at x = 0, grows right at the full rate and slot 1 left
+        # at half of it, so they meet at 30 + 20/3, and the contact edge is
+        # the blocker's to the bit.
+        assert a.x_max == b.x_min == pytest.approx(30.0 + 20.0 / 3.0, abs=1e-12)
         assert a.width + b.width < 150.0
         assert a.height == b.height == 150.0
 
@@ -417,23 +417,40 @@ def flush_to_edge(rng, box):
     return Rect(x, y, x + box.width, y + box.height)
 
 
-def same_plan(a, b):
-    return [(s.src, s.dst) for s in a.slots] == [(s.src, s.dst) for s in b.slots]
+# The float expansion against the exact-rational event simulation of
+# tests/oracles.py, run on the same float boxes. A grown edge is either a
+# blocker's edge or _grow_interval() of its original by one event time, and
+# each event time is a closed form of a few roundings over edges in
+# [0, side] (the original ones and those of frozen slots); so each
+# coordinate lies within a few ulps of the source side of the exact one.
+# Seen: at most 1 ulp over the plans of a 250-video road and crowded run.
+ORACLE_ULPS = 4
+
+
+def assert_matches_oracle(plan, grown, source):
+    """Each src of the plan within ORACLE_ULPS ulps of the source side of
+    the oracle's rational box, compared exactly."""
+    tol = Fraction(ORACLE_ULPS * math.ulp(source.side))
+    assert len(plan.slots) == len(grown)
+    for slot, box in zip(plan.slots, grown):
+        src = slot.src
+        for v, exact in zip((src.x_min, src.y_min, src.x_max, src.y_max), box):
+            assert abs(Fraction(v) - exact) <= tol, (src, [float(e) for e in box])
 
 
 class TestExpandMatchesReference:
-    """expand_greedy skips quiet rounds in bulk; its plans must equal, to the
-    last bit, those of the unit-round reference in tests/oracles.py."""
+    """expand_greedy against the continuous expansion stepped from event to
+    event in exact rationals."""
 
     @pytest.mark.parametrize("side", [100.0, 150.0, 200.0])
     @pytest.mark.parametrize("flush", [False, True], ids=["inside", "flush"])
-    def test_fuzz_plans_identical(self, side, flush):
+    def test_fuzz_plans_match(self, side, flush):
         # "flush" moves ROIs against the frame edges, where slots grow pinned
         # to one side.
         rng = np.random.default_rng(int(side) + flush)
         dest = FrameSpec(side)
         packed = 0
-        for case in range(1200):
+        for case in range(400):
             boxes = random_rois(rng, int(rng.integers(1, 9)))
             if flush:
                 boxes = [flush_to_edge(rng, b) for b in boxes]
@@ -442,32 +459,35 @@ class TestExpandMatchesReference:
             assert (plan is None) == (ref is None), case
             if plan is not None:
                 packed += 1
-                assert same_plan(plan, ref), (case, boxes)
-        assert packed > 200
+                assert_matches_oracle(plan, ref, SRC)
+        assert packed > 70
 
-    def test_survivor_of_a_mid_round_freeze_jumps_in_that_round(self):
-        # Second pass (x): slot 0 reaches the full destination width and
-        # freezes partway through a round. Slot 1, now the only grower, takes
-        # its lone full-size jump in that same round, runs into slot 0 and
-        # bisects. Deciding "lone" once per round would leave x_min at 4.0.
-        boxes = [Rect(258, 4, 299, 29), Rect(59, 96, 95, 116)]
-        plan = pack(boxes, SRC, DST)
-        assert plan == reference_pack(boxes, SRC, DST)
-        assert plan.slots[1].src == Rect(3.999999999999986, 70.0, 150.0, 142.0)
+    def test_a_slot_below_its_group_extent_grows_free_up_to_it(self):
+        # Columns: A (40 wide) alone, then C (30) over B (20). Along x the
+        # slack 150 - 40 - 30 = 80 is spent by A and C together at growth
+        # 40; B, below its column's extent, grows on and freezes on
+        # reaching it at 50. Along y, A takes its column's 50 free px and C
+        # and B split their column's 60.
+        a, c, b = Rect(20, 100, 60, 200), Rect(130, 20, 160, 70), Rect(230, 220, 250, 260)
+        plan = pack([a, c, b], SRC, DST)
+        assert [s.src for s in plan.slots] == [
+            Rect(0, 75, 80, 225),
+            Rect(110, 5, 180, 85),
+            Rect(205, 205, 275, 275),
+        ]
+        assert_matches_oracle(plan, reference_pack([a, c, b], SRC, DST), SRC)
 
 
-def plan_bits(plan):
-    """Each slot's src and dst as exact floats, sign of zero included."""
-    return [
-        tuple(float(v).hex() for r in (s.src, s.dst) for v in (r.x_min, r.y_min, r.x_max, r.y_max))
-        for s in plan.slots
-    ]
+def slot_bits(slot):
+    """A slot's src and dst as exact floats, sign of zero included."""
+    return tuple(
+        float(v).hex() for r in (slot.src, slot.dst) for v in (r.x_min, r.y_min, r.x_max, r.y_max)
+    )
 
 
 class TestLoneSlotMatchesReference:
-    """A lone slot grows by its own loop, without the group, blocker and
-    quiet-round bookkeeping; its plans must equal the unit-round
-    reference's to the last bit."""
+    """A lone slot grows by its own jump, without the group and blocker
+    bookkeeping; its plans must match the rational oracle's."""
 
     @pytest.mark.parametrize(
         "rois",
@@ -485,13 +505,13 @@ class TestLoneSlotMatchesReference:
         dest = FrameSpec(side)
         plan = pack(rois, SRC, dest)
         assert len(plan.slots) == 1
-        assert plan_bits(plan) == plan_bits(reference_pack(rois, SRC, dest))
+        assert_matches_oracle(plan, reference_pack(rois, SRC, dest), SRC)
 
     def test_box_as_wide_as_the_dest_grows_only_in_height(self):
         rois = [Rect(75, 100, 225, 130)]
         plan = pack(rois, SRC, DST)
         assert plan.slots[0].src == Rect(75, 40, 225, 190)
-        assert plan_bits(plan) == plan_bits(reference_pack(rois, SRC, DST))
+        assert_matches_oracle(plan, reference_pack(rois, SRC, DST), SRC)
 
     def test_a_first_jump_that_leaves_headroom_jumps_again(self):
         # At a source side of 2**24 an ulp of the grown edges is ~1.9e-9,
@@ -505,7 +525,7 @@ class TestLoneSlotMatchesReference:
         rois = [Rect(lo, 100.0, hi, 200.0)]
         plan = pack(rois, source, dest)
         assert plan.slots[0].src.width > grown_hi - grown_lo
-        assert plan_bits(plan) == plan_bits(reference_pack(rois, source, dest))
+        assert_matches_oracle(plan, reference_pack(rois, source, dest), source)
 
 
 def rois_at_side(rng, side, n):
@@ -533,13 +553,14 @@ def rois_at_side(rng, side, n):
 
 
 class TestExpandEventsMatchReference:
-    """The per-event arithmetic (the freeze test, the exact collision point
-    and one addition per quiet run) at source sides where hi crosses powers
-    of two during quiet runs, with boxes that touch on a grid or sit flush
-    against a frame edge."""
+    """The closed-form event times (contacts, pins to a frame edge, capacity
+    and catch-ups) at small, odd and large source sides, with boxes that
+    touch on a grid or sit flush against a frame edge."""
 
-    @pytest.mark.parametrize("side, cases", [(97.3, 600), (1000.0, 150), (4096.0, 40)])
-    def test_fuzz_plans_identical(self, side, cases):
+    @pytest.mark.parametrize(
+        "side, cases", [(1.0, 150), (97.3, 400), (1000.0, 150), (4096.0, 100), (65536.0, 100)]
+    )
+    def test_fuzz_plans_match(self, side, cases):
         rng = np.random.default_rng(int(side * 10))
         source, dest = FrameSpec(side), FrameSpec(side / 2.0)
         packed = 0
@@ -550,54 +571,8 @@ class TestExpandEventsMatchReference:
             assert (plan is None) == (ref is None), case
             if plan is not None:
                 packed += 1
-                assert same_plan(plan, ref), (case, boxes)
+                assert_matches_oracle(plan, ref, source)
         assert packed > cases // 4
-
-    def test_repeat_add_equals_sequential_additions(self):
-        rounded = 0
-        for m in (0, 1, 7, 10, 12, 16):
-            top = 2.0**m
-            for step in (0.5, 1.0):
-                for x in (math.nextafter(top, 0.0), top - 0.3, top - 3 * step - 1e-7):
-                    if x <= 0.0:
-                        continue
-                    for k in (0, 1, 2, 3, 7, 100, 1000, 10_000):
-                        y = x
-                        for _ in range(k):
-                            y += step
-                        assert _repeat_add(x, step, k) == y, (x, step, k)
-                        rounded += x + k * step != y
-        # Some runs cross more than one power of two, and there a single
-        # closed-form addition rounds differently from the k additions.
-        assert rounded
-
-    def test_first_hit_is_the_least_float_growth_that_hits(self):
-        rng = np.random.default_rng(11)
-        checked = 0
-        for _ in range(3000):
-            side = float(rng.choice([97.3, 300.0, 4096.0, 65536.0]))
-            lo, hi = sorted(float(v) for v in rng.uniform(0.0, side, size=2))
-            if rng.random() < 0.2:
-                lo, hi = (0.0, hi) if rng.random() < 0.5 else (lo, side)
-            blocking = []
-            for _ in range(int(rng.integers(1, 3))):
-                gap = float(np.exp(rng.uniform(np.log(1e-9), np.log(side / 4))))
-                if rng.random() < 0.5 and hi + gap < side:
-                    blocking.append((hi + gap, float(rng.uniform(hi + gap, side)) + 1e-9))
-                elif lo - gap > 0.0:
-                    blocking.append((float(rng.uniform(0.0, lo - gap)) - 1e-9, lo - gap))
-            allowed = lo + (side - hi)
-
-            def hits(g):
-                grown_lo, grown_hi = reference_grow_interval(lo, hi, g, side)
-                return any(grown_lo < b_hi and b_lo < grown_hi for b_lo, b_hi in blocking)
-
-            if not blocking or hits(1e-9) or not hits(allowed):
-                continue
-            first = _first_hit(lo, hi, allowed, side, blocking)
-            assert hits(first) and not hits(math.nextafter(first, 0.0)), (lo, hi, side, blocking)
-            checked += 1
-        assert checked > 1000
 
 
 def transposed(r):
@@ -629,8 +604,35 @@ def test_transposing_rois_transposes_the_plan(rois):
         ]
 
 
-def mirrored(r, side=SRC.side):
-    return Rect(side - r.x_max, r.y_min, side - r.x_min, r.y_max)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(roi_st, min_size=2, max_size=6), st.randoms(use_true_random=False))
+def test_relabelling_the_slots_leaves_each_src_unchanged(rois, rnd):
+    # The same boxes in the same layout, numbered in another order: every
+    # slot grows at one rate, whatever its number, so each src keeps every
+    # bit. (The unit rounds took turns in slot order.)
+    merged = merge_overlaps(rois)
+    assume(2 <= len(merged) <= MAX_SLOTS)
+    layout = choose_layout(merged)
+    src = place_and_fit(merged, layout, DST)
+    assume(src is not None)
+    label = list(range(len(src)))
+    rnd.shuffle(label)  # slot i becomes slot label[i]
+    relabelled = [None] * len(src)
+    for i, box in enumerate(src):
+        relabelled[label[i]] = list(box)
+    groups = tuple([tuple([label[i] for i in members]) for members in layout.groups])
+    plan = expand_greedy(src, layout, SRC, DST)
+    other = expand_greedy(relabelled, Layout(axis=layout.axis, groups=groups), SRC, DST)
+    assert (plan is None) == (other is None)
+    if plan is not None:
+        for i, slot in enumerate(plan.slots):
+            assert slot_bits(other.slots[label[i]]) == slot_bits(slot)
+
+
+def mirrored(r, axis, side=SRC.side):
+    if axis == 0:
+        return Rect(side - r.x_max, r.y_min, side - r.x_min, r.y_max)
+    return Rect(r.x_min, side - r.y_max, r.x_max, side - r.y_min)
 
 
 int_roi_st = st.builds(
@@ -642,7 +644,7 @@ int_roi_st = st.builds(
 )
 
 
-def close(a, b, tol=1e-9):
+def close(a, b, tol):
     return all(
         abs(p - q) <= tol
         for p, q in zip((a.x_min, a.y_min, a.x_max, a.y_max), (b.x_min, b.y_min, b.x_max, b.y_max))
@@ -650,34 +652,36 @@ def close(a, b, tol=1e-9):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(int_roi_st, min_size=1, max_size=6))
+@given(st.lists(int_roi_st, min_size=1, max_size=6), st.sampled_from([0, 1]))
 # Slots 2 and 3 grow toward each other along x and meet exactly in one
-# orientation, but overlap by an ulp in the mirror, where slot 2's collision
-# with slot 1 rounds its far edge past the contact. Blocking on y only by an
-# overlap above _EPS keeps that sliver from freezing slot 2 at 5 px tall.
-@example([Rect(0, 0, 4, 61), Rect(74, 0, 89, 4), Rect(132, 0, 148, 5), Rect(191, 5, 252, 9)])
-def test_mirroring_rois_mirrors_each_src_and_keeps_each_dst(rois):
-    # What holds under x -> side - x, for integer ROIs (so the mirror and
-    # every width are exact):
+# orientation, but the unit rounds overlapped them by an ulp in the mirror,
+# where slot 2's collision with slot 1 rounded its far edge past the
+# contact. Blocking on y only by an overlap above _EPS keeps such a sliver
+# from freezing slot 2 at 5 px tall.
+@example([Rect(0, 0, 4, 61), Rect(74, 0, 89, 4), Rect(132, 0, 148, 5), Rect(191, 5, 252, 9)], 0)
+def test_mirroring_the_input_mirrors_the_plan(rois, axis):
+    # What holds under x -> side - x (or y), for integer ROIs (so the mirror
+    # and every width are exact):
     # - merging, the layout and the fit test see only overlaps, widths,
     #   heights and input order, so the same slots exist in the same order;
-    # - placement starts the groups at dst x = 0 whatever the src positions,
-    #   so each slot keeps its dst: the packed frame is not mirrored;
-    # - expansion grows an interval half per side, spills growth clipped at
-    #   one frame edge to the other side, and stops at the same neighbours,
-    #   so each grown src is the mirror of the original's.
-    # Only the collision bisection's fractional steps round differently on
-    # the two sides, by a few ulps, hence the tolerance.
+    # - placement starts the groups at dst 0 whatever the src positions, so
+    #   each slot keeps its dst: the packed frame is not mirrored;
+    # - expansion grows an interval half per side, all on one side once the
+    #   other is at a frame edge, and stops at the same neighbours, so each
+    #   grown src is the mirror of the original's.
+    # Both plans lie within ORACLE_ULPS ulps of the exact expansion, whose
+    # plans are exact mirrors, hence the tolerance.
+    tol = 2 * ORACLE_ULPS * math.ulp(SRC.side)
     plan = pack(rois, SRC, DST)
-    flipped = pack([mirrored(r) for r in rois], SRC, DST)
+    flipped = pack([mirrored(r, axis) for r in rois], SRC, DST)
     assert (plan is None) == (flipped is None)
     if plan is not None:
-        flipped_layout = choose_layout(merge_overlaps([mirrored(r) for r in rois]))
+        flipped_layout = choose_layout(merge_overlaps([mirrored(r, axis) for r in rois]))
         assert flipped_layout == choose_layout(merge_overlaps(rois))
         assert len(flipped.slots) == len(plan.slots)
         for s, f in zip(plan.slots, flipped.slots):
-            assert close(f.dst, s.dst)
-            assert close(f.src, mirrored(s.src))
+            assert close(f.dst, s.dst, tol)
+            assert close(f.src, mirrored(s.src, axis), tol)
             assert (f.scale_x, f.scale_y) == (s.scale_x, s.scale_y)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import raster_region_iou
 from roipack.cli import MAX_BINS
-from roipack.geometry import FrameSpec, Rect
+from roipack.geometry import FrameSpec, Rect, union_area
 from roipack.pipeline import GroundTruthFrame, GtObject
 from roipack.stats import Histogram, histogram, occupancy_ratio, temporal_region_iou, write_histogram_csv
 
@@ -36,6 +36,17 @@ class TestOccupancyRatio:
         frame = frame_of(0, Rect(250, 250, 310, 310))
         with pytest.raises(ValueError):
             occupancy_ratio(frame, FRAME)
+
+    def test_slivers_that_round_the_union_past_the_frame_read_one(self):
+        # Two slivers split the covered frame into x slabs whose rounded
+        # widths times their heights sum to more than the frame's area.
+        halves = (Rect(0, 0, 300, 150), Rect(0, 150, 300, 300))
+        slivers = (
+            Rect(0.75 * 300, 0.0, math.nextafter(0.75, 2.0) * 300, 5e-324 * 300),
+            Rect(0.9177847433736936 * 300, 0.0, 300.0, 5e-324 * 300),
+        )
+        assert union_area(halves + slivers) > FRAME.area
+        assert occupancy_ratio(frame_of(0, *halves, *slivers), FRAME) == 1.0
 
 
 class TestTemporalRegionIou:
@@ -71,6 +82,23 @@ class TestTemporalRegionIou:
         # region overlap even though no single box matches.
         a = frame_of(0, Rect(0, 0, 100, 100))
         b = frame_of(1, Rect(0, 0, 50, 100), Rect(50, 0, 100, 100))
+        assert temporal_region_iou(a, b, FRAME) == 1.0
+
+    def test_an_overlap_that_rounds_past_the_union_reads_one(self):
+        # Both frames cover the lower half; the slivers split it into slabs
+        # whose rounded sums put the overlap one ulp past the union.
+        a = frame_of(
+            0,
+            Rect(269.9928730422614, 299.99999999999994, 300.0, 300.0),
+            Rect(0.0, 166.6251070056798, 3e-14, 166.62510700567987),
+            Rect(0.0, 150.0, 300.0, 300.0),
+        )
+        b = frame_of(
+            1,
+            Rect(130.87213527500552, 75.59806566013462, 130.87213527500555, 75.59806566013464),
+            Rect(0.0, 150.0, 300.0, 300.0),
+            Rect(241.16911645953482, 150.0, 300.0, 300.0),
+        )
         assert temporal_region_iou(a, b, FRAME) == 1.0
 
     def test_out_of_bounds_rejected(self):
