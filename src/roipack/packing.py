@@ -321,9 +321,8 @@ def _expand_axis(
                            0.5 * (gap + below + above))
                 near[a].append((b, True, meet))
                 near[b].append((a, False, meet))
-    groups = layout.groups
     on_extent = axis == layout.axis
-    cap = [0.0] * len(groups)
+    cap = [0.0] * len(layout.groups)
     grown = [None] * n  # the growth at which each slot froze
     due = [0.0] * n
     inf = math.inf
@@ -334,7 +333,7 @@ def _expand_axis(
         # cap[g]) have caught up with its frozen ones widens, and the
         # widening groups share the slack.
         at, slack, widening = inf, dest_side, 0
-        for g, members in enumerate(groups):
+        for g, members in enumerate(layout.groups):
             grow, free, top, end = 0, dest_side, -inf, -inf
             for i in members:
                 if grown[i] is None:
@@ -359,7 +358,7 @@ def _expand_axis(
                     at = end - top  # a catch-up
         if on_extent:
             slack = slack / widening if widening else inf
-        for g, members in enumerate(groups):
+        for g, members in enumerate(layout.groups):
             for i in members:
                 if grown[i] is not None:
                     continue
@@ -401,8 +400,9 @@ def expand_greedy(
     with this layout, to pull in context; then place them and build the
     plan, or return None if a placed slot collapses to no width or height.
 
-    Slots grow along the layout's axis first, then the other, as the module
-    docstring defines, from event to event (see _expand_axis).
+    Slots grow along the layout's axis first, then the other, continuously:
+    the limit of the paper's greedy increments, every slot at one rate until
+    its capacity, a blocker or the source frame stops it (module docstring).
     """
     for axis in (layout.axis, 1 - layout.axis):
         _expand_axis(src, axis, layout, dest.side, source.side)
