@@ -52,7 +52,8 @@ from .geometry import FrameSpec, Rect, enclosing
 MAX_SLOTS = 4
 
 # Largest frame side the command line accepts, because a larger frame's area
-# can overflow. Expansion time does not grow with the side: it follows events.
+# can overflow. Expansion time does not grow with the side: it follows
+# events (a freeze, a contact, a pin to a frame edge), not pixels of growth.
 MAX_FRAME_SIDE = 65536.0
 
 _EPS = 1e-9
@@ -257,14 +258,16 @@ def _grow_interval(
     """Grow [lo, hi] in [0, bound] by g, split half per side; growth clipped
     at a boundary spills to the opposite side."""
     left = right = 0.5 * g
-    room = bound - hi
-    if left > lo:
-        right += left - lo
-        left = lo
-    if right > room:
-        left = min(lo, left + (right - room))
-        right = room
-    lo, hi = lo - left, hi + right
+    room_l = lo
+    room_r = bound - hi
+    if left > room_l:
+        right += left - room_l
+        left = room_l
+    if right > room_r:
+        left = min(room_l, left + (right - room_r))
+        right = room_r
+    lo -= left
+    hi += right
     # max(0.0, lo) and min(bound, hi), without the calls.
     return (lo if lo > 0.0 else 0.0), (hi if hi < bound else bound)
 
@@ -284,12 +287,16 @@ def _expand_axis(
     """
     n = len(src)
     if n == 1:
-        # Nothing blocks a lone slot: it jumps by all it is allowed until
-        # that is used up (a first jump can round short of it).
+        # A lone slot's headroom is dest_side less its size, as the group
+        # bookkeeping below works it out, and nothing blocks it: it jumps
+        # by all it is allowed until that is used up.
         s = src[0]
         lo, hi = s[axis], s[axis + 2]
         while True:
-            allowed = min(dest_side - (hi - lo), lo + (src_side - hi))
+            allowed = dest_side - (hi - lo)
+            room = lo + (src_side - hi)
+            if room < allowed:
+                allowed = room
             if allowed <= _EPS:
                 s[axis], s[axis + 2] = lo, hi
                 return

@@ -450,7 +450,7 @@ class TestExpandMatchesReference:
         rng = np.random.default_rng(int(side) + flush)
         dest = FrameSpec(side)
         packed = 0
-        for case in range(400):
+        for case in range(1200):
             boxes = random_rois(rng, int(rng.integers(1, 9)))
             if flush:
                 boxes = [flush_to_edge(rng, b) for b in boxes]
@@ -460,7 +460,7 @@ class TestExpandMatchesReference:
             if plan is not None:
                 packed += 1
                 assert_matches_oracle(plan, ref, SRC)
-        assert packed > 70
+        assert packed > 200
 
     def test_a_slot_below_its_group_extent_grows_free_up_to_it(self):
         # Columns: A (40 wide) alone, then C (30) over B (20). Along x the
@@ -558,7 +558,7 @@ class TestExpandEventsMatchReference:
     touch on a grid or sit flush against a frame edge."""
 
     @pytest.mark.parametrize(
-        "side, cases", [(1.0, 150), (97.3, 400), (1000.0, 150), (4096.0, 100), (65536.0, 100)]
+        "side, cases", [(1.0, 150), (97.3, 600), (1000.0, 150), (4096.0, 100), (65536.0, 100)]
     )
     def test_fuzz_plans_match(self, side, cases):
         rng = np.random.default_rng(int(side * 10))
